@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     TokenSeq,
     Token,
     bio_to_spans,
+    build_schema,
     spans_to_bio,
     tokenize,
 )
@@ -116,15 +118,35 @@ def parse_inline_xml(
     open_prefix = f"<{elem}="
     close_marker = f"</{elem}>"
 
+    # Text between markers is copied in chunks. Each marker search resumes
+    # from its last hit and is redone only once the scan has passed that
+    # hit, so the whole scan stays O(len(body)).
+    n = len(body)
+
+    def find(marker: str, start: int) -> int:
+        at = body.find(marker, start)
+        return n if at == -1 else at
+
     out: list[str] = []
     out_len = 0
     entities: list[EntitySpan] = []
     i = 0
-    n = len(body)
+    next_open, next_close = find(open_prefix, 0), find(close_marker, 0)
     open_start: Optional[int] = None  # output offset where current element began
+    open_chunk = 0  # index in `out` of the current element's first chunk
     open_tag = ""
     while i < n:
-        if body.startswith(open_prefix, i):
+        if next_open < i:
+            next_open = find(open_prefix, i)
+        if next_close < i:
+            next_close = find(close_marker, i)
+        at = min(next_open, next_close)
+        if at > i:
+            out.append(body[i:at])
+            out_len += at - i
+            i = at
+            continue
+        if i == next_open:
             if open_start is not None:
                 raise MalformedMarkup(f"nested {elem} element at offset {i}")
             j = i + len(open_prefix)
@@ -140,9 +162,10 @@ def parse_inline_xml(
             if not tag:
                 raise MalformedMarkup(f"empty tag name at offset {i}")
             open_start = out_len
+            open_chunk = len(out)
             open_tag = tag
             i = k + 2
-        elif body.startswith(close_marker, i):
+        else:
             if open_start is None:
                 raise MalformedMarkup(f"stray {close_marker} at offset {i}")
             if out_len == open_start:
@@ -154,14 +177,10 @@ def parse_inline_xml(
                 if policy.unknown_tag_action == MAP_TO_OTHERS:
                     tag = schema.other
                 # passthrough keeps the tag verbatim
-            surface = "".join(out)[open_start:out_len]
+            surface = "".join(out[open_chunk:])
             entities.append(EntitySpan(start=open_start, end=out_len, tag=tag, surface=surface))
             open_start = None
             i += len(close_marker)
-        else:
-            out.append(body[i])
-            out_len += 1
-            i += 1
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {elem} element (tag {open_tag!r})")
     return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=dict(meta or {}))
@@ -283,8 +302,6 @@ def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corp
             raise BadRecordLine(f"line {lineno}: {exc}") from exc
         docs.append(document_from_record(rec, lineno))
     if schema is None:
-        from .core import build_schema
-
         tags = [e.tag for d in docs for e in d.entities]
         schema = build_schema(tags)
     for doc in docs:
@@ -307,8 +324,6 @@ def write_jsonl(corpus: Corpus) -> str:
 def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
                 xml_policy: InlineXmlPolicy = DEFAULT_XML_POLICY) -> Corpus:
     """Load a corpus from a .jsonl or .conll file, or a .xml file/directory."""
-    from pathlib import Path
-
     p = Path(path)
     if p.is_dir():
         docs = []
@@ -334,8 +349,6 @@ def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
 
 def write_corpus(corpus: Corpus, path, xml_policy: InlineXmlPolicy = DEFAULT_XML_POLICY) -> None:
     """Write a corpus to .jsonl/.conll, or to a directory of .xml files."""
-    from pathlib import Path
-
     p = Path(path)
     suffix = p.suffix.lower()
     if suffix == ".jsonl":

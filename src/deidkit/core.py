@@ -267,6 +267,27 @@ def tokenize(text: str) -> TokenSeq:
     return TokenSeq(tokens=tuple(tokens))
 
 
+def first_overlaps(tokens: Sequence[Token],
+                   spans: Sequence[EntitySpan]) -> list[Optional[EntitySpan]]:
+    """For each token, the first span in `spans` that overlaps it, or None.
+
+    Relies on two orderings the caller establishes: `tokens` sorted by start
+    (TokenSeq guarantees it) and `spans` sorted by (start, -len). A span
+    with end <= tok.start is then dead for every later token, so one
+    pointer skips it for good; the first live span overlaps the token or
+    starts at or after its end, as every later span does. Spans may overlap
+    each other and cut into tokens. O(len(tokens) + len(spans)).
+    """
+    out: list[Optional[EntitySpan]] = []
+    n = len(spans)
+    i = 0
+    for tok in tokens:
+        while i < n and spans[i].end <= tok.start:
+            i += 1
+        out.append(spans[i] if i < n and spans[i].start < tok.end else None)
+    return out
+
+
 def spans_to_bio(doc: Document, toks: Optional[TokenSeq] = None) -> TokenSeq:
     """Label each token: B-tag on the token holding an entity's first
     character, I-tag on the remaining overlapped tokens, O elsewhere.
@@ -277,25 +298,22 @@ def spans_to_bio(doc: Document, toks: Optional[TokenSeq] = None) -> TokenSeq:
     if toks is None:
         toks = tokenize(doc.text)
     labels = ["O"] * len(toks)
-    ent_idx = 0
-    ents = doc.entities
-    for t_i, tok in enumerate(toks.tokens):
-        while ent_idx < len(ents) and ents[ent_idx].end <= tok.start:
-            ent_idx += 1
-        if ent_idx >= len(ents):
-            break
-        ent = ents[ent_idx]
-        if ent.start < tok.end and tok.start < ent.end:
-            if tok.start < ent.start or (ent.end < tok.end and ent.end > tok.start):
-                raise EntityTokenMisalignment(
-                    f"doc {doc.id!r}: entity [{ent.start},{ent.end}) splits token "
-                    f"{tok.surface!r} [{tok.start},{tok.end})",
-                    doc_id=doc.id,
-                    start=ent.start,
-                    end=ent.end,
-                )
-            prefix = "B" if tok.start == ent.start else "I"
-            labels[t_i] = f"{prefix}-{ent.tag}"
+    # Document entities are sorted by start and disjoint, which is the
+    # (start, -len) order first_overlaps needs
+    hits = first_overlaps(toks.tokens, doc.entities)
+    for t_i, (tok, ent) in enumerate(zip(toks.tokens, hits)):
+        if ent is None:
+            continue
+        if tok.start < ent.start or ent.end < tok.end:
+            raise EntityTokenMisalignment(
+                f"doc {doc.id!r}: entity [{ent.start},{ent.end}) splits token "
+                f"{tok.surface!r} [{tok.start},{tok.end})",
+                doc_id=doc.id,
+                start=ent.start,
+                end=ent.end,
+            )
+        prefix = "B" if tok.start == ent.start else "I"
+        labels[t_i] = f"{prefix}-{ent.tag}"
     return TokenSeq(tokens=toks.tokens, labels=tuple(labels))
 
 

@@ -21,8 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Corpus, DeidError, tokenize
+from .core import Corpus, DeidError, first_overlaps, tokenize
 from .evalmetrics import label_tokens
+from .recognize import open_wire
 
 logger = logging.getLogger("deidkit.corpusstats")
 
@@ -131,15 +132,17 @@ def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
     counts: dict = {}
     for doc in corpus:
         toks = tokenize(doc.text)
+        # Document entities are sorted by start and disjoint, so this subset
+        # is already in the (start, -len) order first_overlaps needs
         phi = [ent for ent in doc.entities if ent.tag != other]
         cleaned: list[str] = []
         near: list[bool] = []
-        for tok in toks.tokens:
+        for tok, hit in zip(toks.tokens, first_overlaps(toks.tokens, phi)):
             c = _clean_token(tok.surface)
             if not c or c in stop:
                 continue
             cleaned.append(c)
-            near.append(any(e.start < tok.end and tok.start < e.end for e in phi))
+            near.append(hit is not None)
         if scope == PHI_ADJACENT:
             near = _dilate(near, window)
         for i in range(len(cleaned) - n + 1):
@@ -247,8 +250,6 @@ class EmbeddingClient:
     """Wire-protocol embeddings: {"id", "tokens"} -> {"id", "vectors"}."""
 
     def __init__(self, backend) -> None:
-        from .recognize import open_wire
-
         self._wire = open_wire(backend)
         self._n = 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import Corpus, DeidError, EntitySpan, TagSchema, tokenize
+from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, tokenize
 
 TOKEN = "token"
 ENTITY_STRICT = "entity_strict"
@@ -168,21 +168,12 @@ def label_tokens(doc_text: str, spans: Sequence[EntitySpan], other: str,
                  toks=None) -> list:
     """Tag per token by overlap: a token takes the tag of the span covering
     it, earliest-starting (then longest) span first. Tolerates spans that
-    are not aligned to token boundaries."""
+    are unsorted, overlapping or not aligned to token boundaries."""
     if toks is None:
         toks = tokenize(doc_text)
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
-    labels = []
-    for tok in toks.tokens:
-        label = other
-        for span in ordered:
-            if span.start >= tok.end:
-                break
-            if span.end > tok.start:
-                label = span.tag
-                break
-        labels.append(label)
-    return labels
+    return [other if span is None else span.tag
+            for span in first_overlaps(toks.tokens, ordered)]
 
 
 def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],

@@ -24,9 +24,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -41,6 +43,7 @@ from .core import (
     TokenSeq,
     bio_to_spans,
 )
+from .surrogate import load_lexicon
 
 BUILTIN_RULES = "builtin_rules"
 EXTERNAL = "external"
@@ -111,15 +114,11 @@ def load_rulebook(path=None) -> Rulebook:
             .read_text(encoding="utf-8")
         )
     else:
-        from pathlib import Path
-
         raw = Path(path).read_text(encoding="utf-8")
     data = json.loads(raw)
     rules = tuple(
         _compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]
     )
-    from .surrogate import load_lexicon
-
     lexicon_rules = []
     for tag, source in data.get("lexicons", {}).items():
         entries = load_lexicon(source)
@@ -153,12 +152,14 @@ def recognize_rules(text: str, rulebook: Optional[Rulebook] = None) -> list[Enti
         for start, end in rule.matches(text):
             candidates.append((end - start, start, end, rule.tag))
     candidates.sort(key=lambda c: (-c[0], c[1], prio.get(c[3], len(prio))))
+    # kept spans stay disjoint and sorted by start, hence also by end: the
+    # only one that can overlap [start, end) is the last to start before end
     kept: list[EntitySpan] = []
     for _, start, end, tag in candidates:
-        if any(k.start < end and start < k.end for k in kept):
+        at = bisect_left(kept, end, key=lambda k: k.start)
+        if at and kept[at - 1].end > start:
             continue
-        kept.append(EntitySpan(start=start, end=end, tag=tag, surface=text[start:end]))
-    kept.sort(key=lambda s: s.start)
+        kept.insert(at, EntitySpan(start=start, end=end, tag=tag, surface=text[start:end]))
     return kept
 
 

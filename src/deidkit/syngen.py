@@ -27,8 +27,9 @@ from .annot_io import (
     PASSTHROUGH,
     parse_inline_xml,
     write_inline_xml,
+    write_jsonl,
 )
-from .core import CANONICAL_SCHEMA, Corpus, DeidError, Document, TagSchema, tokenize
+from .core import CANONICAL_SCHEMA, Corpus, DeidError, Document, TagSchema, build_schema, tokenize
 from .corpusstats import EmptyCorpus, bertscore_greedy, hash_embedding
 from .recognize import BackendTimeout, ProtocolViolation, RecognizerBackend, open_wire
 from .tagmap import apply_tagmap, builtin_canonical_map
@@ -310,14 +311,10 @@ def filter_outputs(raw: dict, policy: Optional[FilterPolicy] = None,
 
 def _any_schema() -> TagSchema:
     # parsing accepts any tag; mapping happens afterwards
-    from .core import build_schema
-
     return build_schema([], name="open")
 
 
 def _schema_over(docs: list) -> TagSchema:
-    from .core import build_schema
-
     return build_schema([e.tag for d in docs for e in d.entities], name="raw-tags")
 
 
@@ -355,8 +352,6 @@ def score_generation_quality(generated: Corpus, reference: Corpus,
 def run_generation_job(job: GenerationJob, out_dir) -> dict:
     """generate + persist + filter; writes accepted.jsonl and rejects.jsonl
     next to the raw outputs and returns a run summary."""
-    from .annot_io import write_jsonl
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gen = generate(job, out_dir=out)

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Optional
 
 from .core import (
@@ -194,8 +195,6 @@ def apply_tagmap(corpus: Corpus, tag_map: TagMap) -> tuple[Corpus, MappingAudit]
 def load_tagmap(path) -> TagMap:
     """Read a map from JSON: either row orientation {rows: {target: [sources]}}
     or flat {rules: {source: target}}, plus target/default and optional name."""
-    from pathlib import Path
-
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if "rows" in payload:
         rules = _flatten_rows(payload["rows"])

@@ -10,7 +10,18 @@ import math
 import random
 import string
 
+from deidkit.annot_io import (
+    DEFAULT_XML_POLICY,
+    MAP_TO_OTHERS,
+    REJECT,
+    EmptyEntity,
+    MalformedMarkup,
+    UnknownTag,
+    _extract_envelope,
+)
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, tokenize
+from deidkit.corpusstats import _clean_token
+from deidkit.recognize import default_rulebook
 
 PHI_TAGS = [t for t in CANONICAL_SCHEMA.tags if t != CANONICAL_SCHEMA.other]
 
@@ -163,6 +174,135 @@ def oracle_report(counts: dict, schema=CANONICAL_SCHEMA) -> dict:
     accuracy = diag / total if total else 0.0
     return {"per_tag": per_tag, "micro": micro, "macro": macro,
             "weighted": weighted, "accuracy": accuracy}
+
+
+# --- label_tokens: the nested-loop reference ------------------------------
+
+def oracle_label_tokens(doc_text: str, spans, other: str, toks=None) -> list:
+    """Rescan the (start, -len)-sorted span list from the front for every
+    token; the first span that overlaps the token gives its tag. O(tokens x
+    spans), and exact for unsorted, overlapping and off-boundary spans."""
+    if toks is None:
+        toks = tokenize(doc_text)
+    ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
+    labels = []
+    for tok in toks.tokens:
+        label = other
+        for span in ordered:
+            if span.start >= tok.end:
+                break
+            if span.end > tok.start:
+                label = span.tag
+                break
+        labels.append(label)
+    return labels
+
+
+# --- inline XML: the character-at-a-time reference -------------------------
+
+def oracle_parse_inline_xml(raw: str, policy=DEFAULT_XML_POLICY, schema=CANONICAL_SCHEMA,
+                            doc_id: str = "doc", meta=None) -> Document:
+    """Test for a marker at every offset, copy one character otherwise, and
+    re-join the whole output at every close tag to cut out the surface."""
+    body = _extract_envelope(raw, policy)
+    elem = policy.entity_element
+    open_prefix = f"<{elem}="
+    close_marker = f"</{elem}>"
+
+    out: list = []
+    out_len = 0
+    entities: list = []
+    i = 0
+    n = len(body)
+    open_start = None
+    open_tag = ""
+    while i < n:
+        if body.startswith(open_prefix, i):
+            if open_start is not None:
+                raise MalformedMarkup(f"nested {elem} element at offset {i}")
+            j = i + len(open_prefix)
+            if j >= n or body[j] not in "'\"":
+                raise MalformedMarkup(f"missing attribute quote at offset {i}")
+            quote = body[j]
+            k = body.find(quote, j + 1)
+            if k == -1:
+                raise MalformedMarkup(f"unterminated attribute at offset {i}")
+            tag = body[j + 1 : k]
+            if k + 1 >= n or body[k + 1] != ">":
+                raise MalformedMarkup(f"missing '>' after attribute at offset {i}")
+            if not tag:
+                raise MalformedMarkup(f"empty tag name at offset {i}")
+            open_start = out_len
+            open_tag = tag
+            i = k + 2
+        elif body.startswith(close_marker, i):
+            if open_start is None:
+                raise MalformedMarkup(f"stray {close_marker} at offset {i}")
+            if out_len == open_start:
+                raise EmptyEntity(f"empty {elem} element ending at offset {i}")
+            tag = open_tag
+            if tag not in schema:
+                if policy.unknown_tag_action == REJECT:
+                    raise UnknownTag(f"tag {tag!r} not in schema {schema.name!r}")
+                if policy.unknown_tag_action == MAP_TO_OTHERS:
+                    tag = schema.other
+            surface = "".join(out)[open_start:out_len]
+            entities.append(EntitySpan(start=open_start, end=out_len, tag=tag, surface=surface))
+            open_start = None
+            i += len(close_marker)
+        else:
+            out.append(body[i])
+            out_len += 1
+            i += 1
+    if open_start is not None:
+        raise MalformedMarkup(f"unclosed {elem} element (tag {open_tag!r})")
+    return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=dict(meta or {}))
+
+
+# --- rule overlap resolution: the scan-everything reference ----------------
+
+def oracle_recognize_rules(text: str, rulebook=None) -> list:
+    """Same candidates and order as recognize_rules; a candidate is kept
+    unless it overlaps any span kept so far (checked against all of them),
+    and the result is sorted by start at the end."""
+    book = rulebook if rulebook is not None else default_rulebook()
+    prio = {tag: i for i, tag in enumerate(book.priority)}
+    candidates = []
+    for rule in book.all_rules():
+        for start, end in rule.matches(text):
+            candidates.append((end - start, start, end, rule.tag))
+    candidates.sort(key=lambda c: (-c[0], c[1], prio.get(c[3], len(prio))))
+    kept: list = []
+    for _, start, end, tag in candidates:
+        if any(k.start < end and start < k.end for k in kept):
+            continue
+        kept.append(EntitySpan(start=start, end=end, tag=tag, surface=text[start:end]))
+    kept.sort(key=lambda s: s.start)
+    return kept
+
+
+# --- near-PHI n-gram recount ----------------------------------------------
+
+def oracle_phi_adjacent_counts(corpus: Corpus, n: int, window: int, stoplist=()) -> dict:
+    """{ngram: count} over windows with a kept token no more than `window`
+    kept tokens away from a token that has a non-OTHERS character, read
+    from a per-character tag array."""
+    other = corpus.schema.other
+    stop = {s.lower() for s in stoplist}
+    counts: dict = {}
+    for doc in corpus:
+        ctags = char_tags(doc.text, doc.entities, other)
+        kept = []
+        for tok in tokenize(doc.text).tokens:
+            c = _clean_token(tok.surface)
+            if c and c not in stop:
+                kept.append((c, token_label_by_chars(tok, ctags, other) != other))
+        for i in range(len(kept) - n + 1):
+            lo, hi = max(0, i - window), min(len(kept), i + n + window)
+            if any(phi for _, phi in kept[lo:hi]):
+                gram = " ".join(c for c, _ in kept[i : i + n])
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 # --- kappa -----------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deidkit.annot_io import (
     BadColumnCount,
@@ -25,7 +25,7 @@ from deidkit.annot_io import (
 )
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
 
-from _oracles import random_doc
+from _oracles import oracle_parse_inline_xml, random_doc
 
 
 XML = ("<RECORD>Patient <TYPE='PATIENT'>Asha Rao</TYPE> seen on "
@@ -192,6 +192,62 @@ def test_xml_round_trip_property(seed):
     back = parse_inline_xml(write_inline_xml(doc), doc_id="doc-0")
     assert back.text == doc.text
     assert back.entities == doc.entities
+
+
+def _mutate(raw: str, rng: random.Random) -> str:
+    """One edit that can break the markup: drop, duplicate or strand a
+    close tag, open a nested or empty element, lose a quote or a '>', name
+    an unknown tag, or wrap the envelope in chatter."""
+    def cut(s, marker, repl):
+        hits = [k for k in range(len(s)) if s.startswith(marker, k)]
+        if not hits:
+            return s
+        k = rng.choice(hits)
+        return s[:k] + repl(marker) + s[k + len(marker):]
+
+    def insert(s, piece):
+        k = rng.randint(0, len(s))
+        return s[:k] + piece + s[k:]
+
+    edits = [
+        lambda s: cut(s, "</TYPE>", lambda m: ""),
+        lambda s: cut(s, "</TYPE>", lambda m: m + m),
+        lambda s: insert(s, "</TYPE>"),
+        lambda s: insert(s, "<TYPE='DATE'>"),
+        lambda s: insert(s, "<TYPE='ID'>x</TYPE>"),
+        lambda s: insert(s, "<TYPE='ID'></TYPE>"),
+        lambda s: insert(s, rng.choice(["<TYPE=", "</TYP", "<", "'", ">", "<TYPE=''>"])),
+        lambda s: cut(s, "<TYPE='", lambda m: "<TYPE="),
+        lambda s: cut(s, "'>", lambda m: "'"),
+        lambda s: cut(s, "'>", lambda m: "\">"),
+        lambda s: cut(s, "<TYPE='", lambda m: "<TYPE='Blood_" if rng.random() < 0.5 else m),
+        lambda s: insert(s, "<TYPE=\"Blood_Group\">B+</TYPE>"),
+        lambda s: "Sure, here it is:\n" + s + "\nHope it helps!",
+        lambda s: cut(s, rng.choice(["<RECORD>", "</RECORD>"]), lambda m: ""),
+        lambda s: insert(s, "<RECORD>"),
+    ]
+    return rng.choice(edits)(raw)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_parse_inline_xml_matches_char_oracle(seed):
+    rng = random.Random(seed)
+    raw = write_inline_xml(random_doc(rng, "doc-0", max_tokens=30))
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        raw = _mutate(raw, rng)
+    policy = InlineXmlPolicy(
+        unknown_tag_action=rng.choice(["reject", "map_to_others", "passthrough"]),
+        require_envelope=rng.random() < 0.3,
+    )
+
+    def outcome(parse):
+        try:
+            return parse(raw, policy, CANONICAL_SCHEMA, doc_id="doc-0", meta={"k": "v"})
+        except Exception as exc:  # compared by class and message
+            return type(exc), str(exc)
+
+    assert outcome(parse_inline_xml) == outcome(oracle_parse_inline_xml)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, tokenize
 from deidkit.corpusstats import (
     PHI_ADJACENT,
     WHOLE_TEXT,
@@ -28,7 +28,7 @@ from deidkit.corpusstats import (
 )
 from deidkit.recognize import EXTERNAL, RecognizerBackend
 
-from _oracles import oracle_bertscore, random_doc
+from _oracles import oracle_bertscore, oracle_phi_adjacent_counts, random_doc
 
 
 def corpus_of(*texts, entities=None):
@@ -101,6 +101,24 @@ def test_ngram_phi_adjacent_scope():
     assert got == {"alpha", "beta", "gamma"}
     whole = ngram_profile(corpus, n=1, k=20, scope=WHOLE_TEXT)
     assert len(whole.top) == 10
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_ngram_phi_adjacent_matches_char_recount(seed):
+    rng = random.Random(seed)
+    docs = []
+    for i in range(rng.randint(1, 4)):
+        doc = random_doc(rng, f"d{i}", max_tokens=40, jitter=True)
+        # some entities become OTHERS, which never count as PHI
+        ents = tuple(EntitySpan(e.start, e.end, "OTHERS" if rng.random() < 0.3 else e.tag,
+                                e.surface) for e in doc.entities)
+        docs.append(Document(id=doc.id, text=doc.text, entities=ents))
+    corpus = Corpus(documents=tuple(docs), schema=CANONICAL_SCHEMA)
+    stop = {t.surface for d in docs for t in tokenize(d.text).tokens if rng.random() < 0.1}
+    n, window = rng.randint(1, 3), rng.randint(0, 4)
+    profile = ngram_profile(corpus, n=n, k=10**6, scope=PHI_ADJACENT, stoplist=stop,
+                            window=window)
+    assert dict(profile.top) == oracle_phi_adjacent_counts(corpus, n, window, stop)
 
 
 def test_ngram_bad_args():

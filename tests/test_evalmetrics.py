@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, TokenSeq, tokenize
 from deidkit.evalmetrics import (
     ENTITY_STRICT,
     TOKEN,
@@ -24,7 +24,9 @@ from deidkit.evalmetrics import (
 )
 
 from _oracles import (
+    PHI_TAGS,
     oracle_kappa,
+    oracle_label_tokens,
     oracle_report,
     oracle_token_confusion,
     random_pair,
@@ -79,6 +81,33 @@ def test_label_tokens_earliest_span_wins():
     text = "abcdef"
     spans = [EntitySpan(0, 2, "ID", "ab"), EntitySpan(3, 6, "DATE", "def")]
     assert label_tokens(text, spans, "OTHERS") == ["ID"]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_label_tokens_matches_nested_loop_oracle(seed):
+    # spans that overlap, nest, share a start (also with equal length and a
+    # different tag), come unsorted and cut into tokens
+    rng = random.Random(seed)
+    words = ["".join(rng.choice("ab.,-") for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 25))]
+    text = "".join(w + rng.choice([" ", "  ", "\n"]) for w in words)
+    spans = []
+    for _ in range(rng.randint(0, 12)):
+        if spans and rng.random() < 0.3:
+            twin = rng.choice(spans)
+            start, end = twin.start, rng.choice([twin.end, rng.randint(twin.start + 1, len(text))])
+        else:
+            start = rng.randrange(len(text))
+            end = rng.randint(start + 1, min(len(text), start + rng.choice([1, 3, 10, 40])))
+        spans.append(EntitySpan(start, end, rng.choice(PHI_TAGS), text[start:end]))
+    rng.shuffle(spans)
+    assert label_tokens(text, spans, "OTHERS") == oracle_label_tokens(text, spans, "OTHERS")
+    # the toks= path, with the full tokenization and with every other token
+    full = tokenize(text)
+    sparse = TokenSeq(tokens=full.tokens[::2])
+    for toks in (full, sparse):
+        assert label_tokens(text, tuple(spans), "OTHERS", toks) == \
+            oracle_label_tokens(text, spans, "OTHERS", toks)
 
 
 def test_token_mode_perfect_prediction(sample_corpus):

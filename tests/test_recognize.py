@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import socket
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deidkit.annot_io import write_jsonl
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
@@ -15,6 +18,7 @@ from deidkit.recognize import (
     BackendTimeout,
     InvalidPattern,
     RecognizerBackend,
+    Rule,
     Rulebook,
     align_token_predictions,
     default_rulebook,
@@ -24,6 +28,8 @@ from deidkit.recognize import (
     recognize_repeated,
     recognize_rules,
 )
+
+from _oracles import oracle_recognize_rules
 
 
 NOTE = ("Patient Asha Rao, CRNO: 483920, aged 42 years, phone 9876543210, "
@@ -90,6 +96,28 @@ def test_custom_rulebook(tmp_path):
     rb = load_rulebook(path)
     spans = recognize_rules("codes X123 and X999", rb)
     assert [s.surface for s in spans] == ["X123", "X999"]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rules_overlap_resolution_matches_scan_oracle(seed):
+    # few letters and short patterns give many equal-length, equal-start
+    # candidates; ID and AGE share a pattern, and the tags left out of the
+    # priority list tie with each other
+    rng = random.Random(seed)
+    patterns = ["a+", "b+", "ab", "ba", "[ab]{2}", "[ab]{3}", "a[bc]*", r"\w+", "c"]
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        tag = rng.choice(["ID", "AGE", "DATE", "PATIENT", "CONTACT"])
+        rules.append(Rule(tag=tag, pattern=re.compile(rng.choice(patterns))))
+    rules.append(Rule(tag="AGE", pattern=rules[0].pattern))
+    priority = rng.sample(["ID", "AGE", "DATE"], rng.randint(0, 3))
+    book = Rulebook(name="fuzz", rules=tuple(rules), priority=tuple(priority))
+    text = "".join(rng.choice("aabbc ") for _ in range(rng.randint(0, 60)))
+    assert recognize_rules(text, book) == oracle_recognize_rules(text, book)
+
+
+def test_rules_match_scan_oracle_on_default_rulebook():
+    assert recognize_rules(NOTE * 3) == oracle_recognize_rules(NOTE * 3)
 
 
 # --- token alignment -------------------------------------------------------
