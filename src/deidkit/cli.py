@@ -150,7 +150,7 @@ def cmd_deidentify(args) -> int:
     if args.time_offset is not None:
         kwargs["time_offset_minutes"] = args.time_offset
     cfg = surrogate.SurrogateConfig(**kwargs)
-    out = surrogate.scrub_corpus(corpus, args.mode, cfg, max_workers=args.workers)
+    out = surrogate.scrub_corpus(corpus, args.mode, cfg)
     annot_io.write_corpus(out, args.out)
     return 0
 
@@ -167,7 +167,7 @@ def cmd_recognize(args) -> int:
             docs.append(
                 dataclasses.replace(
                     doc, entities=tuple(pred_map[doc.id]),
-                    meta={**doc.meta, "backend": backend.label},
+                    meta={**doc.meta, "backend": backend.name or backend.kind},
                 )
             )
     out_corpus = Corpus(documents=tuple(docs), schema=backend.schema)
@@ -306,16 +306,7 @@ def cmd_filter(args) -> int:
         policy_kwargs["min_annotations"] = args.min_annotations
     policy = syngen.FilterPolicy(**policy_kwargs)
     corpus, rejects = syngen.filter_outputs(raw, policy)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "accepted.jsonl").write_text(annot_io.write_jsonl(corpus), encoding="utf-8")
-    (out / "rejects.jsonl").write_text(
-        "".join(
-            json.dumps({"id": aid, "reason": r}, ensure_ascii=False) + "\n"
-            for aid, r in rejects.rejects
-        ),
-        encoding="utf-8",
-    )
+    syngen.write_filtered(corpus, rejects, args.out_dir)
     _write_json({"accepted": len(corpus), "rejected": len(rejects.rejects),
                  "reject_counts": rejects.counts()}, None)
     return 0
@@ -361,18 +352,18 @@ def cmd_run_matrix(args) -> int:
         weights = corpusstats.class_weights(union)
         _write_json({"n": weights.n, "per_tag": weights.per_tag},
                     out_dir / "train" / f"{name}.weights.json")
+    if backend_name == "rules":
+        backend = recognize.RecognizerBackend(kind=recognize.BUILTIN_RULES, name="rules")
+    else:
+        backend = recognize.RecognizerBackend(kind=recognize.EXTERNAL, endpoint=backend_name)
+    # predictions depend on the test set only: the train set never reaches
+    # the recognizer, so each test set is recognized and scored once
+    scored = {}
+    for test_name, test_corpus in test_corpora.items():
+        result = recognize.recognize_corpus(test_corpus, backend)
+        scored[test_name] = evalmetrics.evaluate(test_corpus, result.as_pred_map(), mode=mode)
     for train_name in sorted(grid["train_sets"]):
-        for test_name, test_corpus in test_corpora.items():
-            if backend_name == "rules":
-                backend = recognize.RecognizerBackend(kind=recognize.BUILTIN_RULES,
-                                                      name="rules")
-            else:
-                backend = recognize.RecognizerBackend(kind=recognize.EXTERNAL,
-                                                      endpoint=backend_name)
-            result = recognize.recognize_corpus(test_corpus, backend)
-            report, matrix = evalmetrics.evaluate(
-                test_corpus, result.as_pred_map(), mode=mode
-            )
+        for test_name, (report, matrix) in scored.items():
             _write_json(
                 {
                     "train": train_name,
@@ -441,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--date-offset", type=int, default=None, help="days")
     p.add_argument("--time-offset", type=int, default=None, help="minutes")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config")
     p.set_defaults(func=cmd_deidentify)
 

@@ -234,7 +234,9 @@ class _HttpWire:
 
 class _SubprocessWire:
     """One long-lived child process; requests go down stdin, responses come
-    back on stdout in any order and are joined by id."""
+    back on stdout in any order and are joined by id. A reply no request is
+    waiting for (late, or undecodable) is dropped; once the child's stdout
+    closes, every waiting and later request fails at once."""
 
     def __init__(self, command: str, timeout_ms: int) -> None:
         self.timeout_s = timeout_ms / 1000.0
@@ -245,51 +247,71 @@ class _SubprocessWire:
             text=True,
             bufsize=1,
         )
-        self._responses: dict = {}
+        self._responses: dict = {}  # id -> reply; None while a request waits
+        self._dead = False
         self._cond = threading.Condition()
         self._write_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
     def _read_loop(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                resp = json.loads(line)
-            except json.JSONDecodeError:
-                resp = {"id": None, "error": f"undecodable line: {line[:80]}"}
+        try:
+            for line in self.proc.stdout:
+                try:
+                    resp = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                rid = resp.get("id") if isinstance(resp, dict) else None
+                with self._cond:
+                    # a JSON list or object as id is unhashable, never a request id
+                    if isinstance(rid, (str, int)) and rid in self._responses:
+                        self._responses[rid] = resp
+                        self._cond.notify_all()
+        finally:
             with self._cond:
-                self._responses[resp.get("id")] = resp
+                self._dead = True
                 self._cond.notify_all()
 
     def request(self, payload: dict) -> dict:
-        if self.proc.poll() is not None:
-            raise ProtocolViolation("backend process exited")
-        line = json.dumps(payload, ensure_ascii=False)
-        with self._write_lock:
-            assert self.proc.stdin is not None
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-        deadline = time.monotonic() + self.timeout_s
+        rid = payload["id"]
+        line = json.dumps(payload, ensure_ascii=False) + "\n"
         with self._cond:
-            while payload["id"] not in self._responses:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise BackendTimeout(f"no response for {payload['id']!r}")
-                self._cond.wait(remaining)
-            return self._responses.pop(payload["id"])
+            if self._dead:
+                raise ProtocolViolation("backend process exited")
+            self._responses[rid] = None
+        try:
+            with self._write_lock:
+                self.proc.stdin.write(line)
+                self.proc.stdin.flush()
+            deadline = time.monotonic() + self.timeout_s
+            with self._cond:
+                while self._responses[rid] is None:
+                    if self._dead:
+                        raise ProtocolViolation("backend process exited")
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise BackendTimeout(f"no response for {rid!r}")
+                    self._cond.wait(remaining)
+                return self._responses[rid]
+        except OSError as exc:
+            raise ProtocolViolation("backend process exited") from exc
+        finally:
+            with self._cond:
+                self._responses.pop(rid, None)
 
     def close(self) -> None:
         try:
-            if self.proc.stdin:
-                self.proc.stdin.close()
-            self.proc.terminate()
+            self.proc.stdin.close()
+        except OSError:
+            pass  # the child is gone; its unread input goes with it
+        self.proc.terminate()
+        try:
             self.proc.wait(timeout=5)
-        except Exception:
+        except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
+        self._reader.join(timeout=5)
+        self.proc.stdout.close()
 
 
 def open_wire(backend: RecognizerBackend):
@@ -334,10 +356,6 @@ def _validate_spans(doc: Document, raw_spans: Sequence[dict],
 
 
 def _parse_response(doc: Document, resp: dict, schema: TagSchema) -> tuple:
-    if not isinstance(resp, dict) or resp.get("id") != doc.id:
-        raise ProtocolViolation(f"response id mismatch for {doc.id!r}")
-    if "error" in resp:
-        raise ProtocolViolation(f"backend_error: {resp['error']}")
     if "spans" in resp:
         return _validate_spans(doc, resp["spans"], schema)
     if "tokens" in resp:
@@ -352,46 +370,65 @@ def _parse_response(doc: Document, resp: dict, schema: TagSchema) -> tuple:
     raise ProtocolViolation("response carries neither spans nor tokens")
 
 
+def _call_each(wire, items: list, payload_of, parse, backend: RecognizerBackend):
+    """Send one request per item over `wire`, at most `backend.max_in_flight`
+    at a time, then close the wire. A timeout is retried `backend.retry`
+    times; an error reply, a reply for another id, or a ProtocolViolation or
+    SpanOutOfRange from `parse(item, reply)` excludes the item with a reason.
+    Returns (outcomes, retries): one (value, reason, latency_ms) per item in
+    input order, value None exactly when reason is set."""
+    retries = 0
+    lock = threading.Lock()
+
+    def run_one(item):
+        nonlocal retries
+        payload = payload_of(item)
+        t0 = time.monotonic()
+        last_exc: Optional[Exception] = None
+        for attempt in range(backend.retry + 1):
+            if attempt:
+                with lock:
+                    retries += 1
+            try:
+                resp = wire.request(payload)
+                if not isinstance(resp, dict) or resp.get("id") != payload["id"]:
+                    raise ProtocolViolation(f"response id mismatch for {payload['id']!r}")
+                if "error" in resp:
+                    raise ProtocolViolation(f"backend_error: {resp['error']}")
+                value = parse(item, resp)
+                return value, None, (time.monotonic() - t0) * 1000.0
+            except BackendTimeout as exc:
+                last_exc = exc
+            except (SpanOutOfRange, ProtocolViolation) as exc:
+                return None, f"{type(exc).__name__}: {exc}", 0.0
+        return None, f"BackendTimeout: {last_exc}", 0.0
+
+    try:
+        with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
+            outcomes = list(pool.map(run_one, items))
+    finally:
+        wire.close()
+    return outcomes, retries
+
+
 def recognize_external(docs: Union[Corpus, Sequence[Document]],
                        backend: RecognizerBackend) -> ExternalRunResult:
     """One request per document with bounded concurrency; output order is
     input order regardless of completion order. #docs = #predictions +
     #excluded always holds."""
     doc_list = list(docs)
-    result = ExternalRunResult()
-    wire = open_wire(backend)
-    lock = threading.Lock()
-
-    def run_one(doc: Document):
-        payload = {"id": doc.id, "text": doc.text, "schema": list(backend.schema.tags)}
-        attempts = backend.retry + 1
-        t0 = time.monotonic()
-        last_exc: Optional[Exception] = None
-        for attempt in range(attempts):
-            if attempt:
-                with lock:
-                    result.retries += 1
-            try:
-                resp = wire.request(payload)
-                spans = _parse_response(doc, resp, backend.schema)
-                latency = (time.monotonic() - t0) * 1000.0
-                return Prediction(doc_id=doc.id, spans=spans,
-                                  latency_ms=latency, backend_name=backend.label), None
-            except BackendTimeout as exc:
-                last_exc = exc
-                continue
-            except (SpanOutOfRange, ProtocolViolation) as exc:
-                return None, f"{type(exc).__name__}: {exc}"
-        return None, f"BackendTimeout: {last_exc}"
-
-    try:
-        with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
-            outcomes = list(pool.map(run_one, doc_list))
-    finally:
-        wire.close()
-    for doc, (pred, reason) in zip(doc_list, outcomes):
-        if pred is not None:
-            result.predictions.append(pred)
+    schema_tags = list(backend.schema.tags)
+    outcomes, retries = _call_each(
+        open_wire(backend), doc_list,
+        lambda doc: {"id": doc.id, "text": doc.text, "schema": schema_tags},
+        lambda doc, resp: _parse_response(doc, resp, backend.schema),
+        backend,
+    )
+    result = ExternalRunResult(retries=retries)
+    for doc, (spans, reason, latency) in zip(doc_list, outcomes):
+        if reason is None:
+            result.predictions.append(Prediction(doc_id=doc.id, spans=spans, latency_ms=latency,
+                                                 backend_name=backend.label))
         else:
             result.excluded.append((doc.id, reason))
     return result

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from importlib import resources
@@ -408,14 +407,9 @@ def plan_surrogates(doc: Document, cfg: SurrogateConfig) -> SurrogatePlan:
     )
 
 
-def apply_surrogates(doc: Document, plan: SurrogatePlan) -> Document:
-    """Rewrite the text with the planned replacements; entity offsets are
-    recomputed and non-entity text is untouched."""
-    for ent in doc.entities:
-        if ent.tag != "OTHERS" and not plan.covers(ent):
-            raise PlanIncomplete(
-                f"doc {doc.id!r}: no plan entry for ({ent.surface!r}, {ent.tag})"
-            )
+def _splice(doc: Document, replacement_of) -> Document:
+    """Replace each entity's span with replacement_of(entity); entity offsets
+    are recomputed and non-entity text is untouched."""
     parts: list[str] = []
     out_len = 0
     cursor = 0
@@ -424,11 +418,7 @@ def apply_surrogates(doc: Document, plan: SurrogatePlan) -> Document:
         gap = doc.text[cursor : ent.start]
         parts.append(gap)
         out_len += len(gap)
-        key = (normalize_surface(ent.surface), ent.tag)
-        if ent.tag == "OTHERS" or key in plan.passthrough:
-            rep = ent.surface
-        else:
-            rep = plan.bindings[key]
+        rep = replacement_of(ent)
         parts.append(rep)
         new_entities.append(EntitySpan(start=out_len, end=out_len + len(rep),
                                        tag=ent.tag, surface=rep))
@@ -436,6 +426,24 @@ def apply_surrogates(doc: Document, plan: SurrogatePlan) -> Document:
         cursor = ent.end
     parts.append(doc.text[cursor:])
     return replace(doc, text="".join(parts), entities=tuple(new_entities))
+
+
+def apply_surrogates(doc: Document, plan: SurrogatePlan) -> Document:
+    """Rewrite the text with the planned replacements; entity offsets are
+    recomputed and non-entity text is untouched."""
+    for ent in doc.entities:
+        if ent.tag != "OTHERS" and not plan.covers(ent):
+            raise PlanIncomplete(
+                f"doc {doc.id!r}: no plan entry for ({ent.surface!r}, {ent.tag})"
+            )
+
+    def replacement_of(ent: EntitySpan) -> str:
+        key = (normalize_surface(ent.surface), ent.tag)
+        if ent.tag == "OTHERS" or key in plan.passthrough:
+            return ent.surface
+        return plan.bindings[key]
+
+    return _splice(doc, replacement_of)
 
 
 REDACT = "redact"
@@ -447,22 +455,7 @@ def scrub(doc: Document, mode: str = SURROGATE,
     """redact: replace non-OTHERS spans with "[TAG]" literals.
     surrogate: plan_surrogates + apply_surrogates under `cfg`."""
     if mode == REDACT:
-        parts: list[str] = []
-        out_len = 0
-        cursor = 0
-        new_entities: list[EntitySpan] = []
-        for ent in doc.entities:
-            gap = doc.text[cursor : ent.start]
-            parts.append(gap)
-            out_len += len(gap)
-            rep = ent.surface if ent.tag == "OTHERS" else f"[{ent.tag}]"
-            parts.append(rep)
-            new_entities.append(EntitySpan(start=out_len, end=out_len + len(rep),
-                                           tag=ent.tag, surface=rep))
-            out_len += len(rep)
-            cursor = ent.end
-        parts.append(doc.text[cursor:])
-        return replace(doc, text="".join(parts), entities=tuple(new_entities))
+        return _splice(doc, lambda ent: ent.surface if ent.tag == "OTHERS" else f"[{ent.tag}]")
     if mode == SURROGATE:
         if cfg is None:
             cfg = SurrogateConfig()
@@ -471,13 +464,8 @@ def scrub(doc: Document, mode: str = SURROGATE,
 
 
 def scrub_corpus(corpus: Corpus, mode: str = SURROGATE,
-                 cfg: Optional[SurrogateConfig] = None,
-                 max_workers: int = 1) -> Corpus:
-    """Per-document scrub; parallel schedules cannot change the output
-    because every replacement is keyed by (seed, doc id, tag, surface)."""
-    if max_workers <= 1:
-        docs = [scrub(doc, mode, cfg) for doc in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            docs = list(pool.map(lambda d: scrub(d, mode, cfg), corpus))
-    return Corpus(documents=tuple(docs), schema=corpus.schema)
+                 cfg: Optional[SurrogateConfig] = None) -> Corpus:
+    """Per-document scrub; every replacement is keyed by (seed, doc id, tag,
+    surface), so a document's output does not depend on the others."""
+    return Corpus(documents=tuple(scrub(doc, mode, cfg) for doc in corpus),
+                  schema=corpus.schema)

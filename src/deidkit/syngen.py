@@ -12,8 +12,6 @@ schema, so filtration doubles as a total validator.
 from __future__ import annotations
 
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,7 +29,7 @@ from .annot_io import (
 )
 from .core import CANONICAL_SCHEMA, Corpus, DeidError, Document, TagSchema, build_schema, tokenize
 from .corpusstats import EmptyCorpus, bertscore_greedy, hash_embedding
-from .recognize import BackendTimeout, ProtocolViolation, RecognizerBackend, open_wire
+from .recognize import ProtocolViolation, RecognizerBackend, _call_each, open_wire
 from .tagmap import apply_tagmap, builtin_canonical_map
 
 EXEMPLAR_SLOT = "<discharge summary>"
@@ -169,53 +167,30 @@ def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationRe
     """Exactly fanout attempts per exemplar; backend failures are recorded,
     never fatal. With out_dir, raw outputs land under raw/<exemplar>/
     <replicate>.txt before any filtering happens."""
-    result = GenerationResult()
-    wire = open_wire(job.backend)
-    lock = threading.Lock()
-
     prompts = {doc.id: render_prompt(job.template, doc) for doc in job.exemplars}
-    work = [
-        (attempt_id(doc.id, k), doc.id, k)
-        for doc in job.exemplars
-        for k in range(job.fanout)
-    ]
-
-    def run_one(item):
-        aid, exemplar, _rep = item
-        payload = {"id": aid, "prompt": prompts[exemplar], "temperature": job.temperature}
-        last = ""
-        for attempt in range(job.backend.retry + 1):
-            if attempt:
-                with lock:
-                    result.retries += 1
-            try:
-                resp = wire.request(payload)
-                if not isinstance(resp, dict) or resp.get("id") != aid:
-                    return aid, None, "ProtocolViolation: response id mismatch"
-                if "error" in resp:
-                    return aid, None, f"backend_error: {resp['error']}"
-                if not isinstance(resp.get("text"), str):
-                    return aid, None, "ProtocolViolation: no text field"
-                return aid, resp["text"], None
-            except BackendTimeout as exc:
-                last = str(exc)
-            except ProtocolViolation as exc:
-                return aid, None, f"ProtocolViolation: {exc}"
-        return aid, None, f"BackendTimeout: {last}"
-
-    try:
-        with ThreadPoolExecutor(max_workers=job.backend.max_in_flight) as pool:
-            outcomes = list(pool.map(run_one, work))
-    finally:
-        wire.close()
-    for aid, text, reason in outcomes:
-        if text is not None:
+    work = [(attempt_id(doc.id, k), doc.id) for doc in job.exemplars for k in range(job.fanout)]
+    outcomes, retries = _call_each(
+        open_wire(job.backend), work,
+        lambda item: {"id": item[0], "prompt": prompts[item[1]],
+                      "temperature": job.temperature},
+        _reply_text,
+        job.backend,
+    )
+    result = GenerationResult(retries=retries)
+    for (aid, _), (text, reason, _) in zip(work, outcomes):
+        if reason is None:
             result.raw[aid] = text
         else:
             result.failures.append((aid, reason))
     if out_dir is not None:
         persist_raw(result, out_dir)
     return result
+
+
+def _reply_text(_item, resp: dict) -> str:
+    if not isinstance(resp.get("text"), str):
+        raise ProtocolViolation("no text field")
+    return resp["text"]
 
 
 def persist_raw(result: GenerationResult, out_dir) -> None:
@@ -349,21 +324,25 @@ def score_generation_quality(generated: Corpus, reference: Corpus,
     }
 
 
+def write_filtered(corpus: Corpus, report: RejectReport, out_dir) -> None:
+    """accepted.jsonl (the corpus) and rejects.jsonl (one id/reason record
+    per reject) under out_dir."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "accepted.jsonl").write_text(write_jsonl(corpus), encoding="utf-8")
+    (out / "rejects.jsonl").write_text(
+        "".join(json.dumps({"id": aid, "reason": reason}, ensure_ascii=False) + "\n"
+                for aid, reason in report.rejects),
+        encoding="utf-8",
+    )
+
+
 def run_generation_job(job: GenerationJob, out_dir) -> dict:
     """generate + persist + filter; writes accepted.jsonl and rejects.jsonl
     next to the raw outputs and returns a run summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gen = generate(job, out_dir=out)
+    gen = generate(job, out_dir=out_dir)
     corpus, rejects = filter_outputs(gen.raw, job.policy)
-    (out / "accepted.jsonl").write_text(write_jsonl(corpus), encoding="utf-8")
-    reject_lines = [
-        {"id": aid, "reason": reason} for aid, reason in rejects.rejects
-    ]
-    (out / "rejects.jsonl").write_text(
-        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in reject_lines),
-        encoding="utf-8",
-    )
+    write_filtered(corpus, rejects, out_dir)
     return {
         "scheduled": job.scheduled,
         "generated": len(gen.raw),

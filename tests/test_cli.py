@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from deidkit import recognize
 from deidkit.annot_io import read_corpus, read_jsonl, write_corpus, write_jsonl
 from deidkit.cli import ConfigError, PipelineConfig, main
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
@@ -108,6 +109,19 @@ def test_recognize_env_override(tmp_path, corpus_path, mock_cmd, monkeypatch):
     assert run("recognize", "--in", corpus_path, "--out", pred) == 0
     docs = read_corpus(pred)
     assert docs.get("d1").entities == read_corpus(corpus_path).get("d1").entities
+    assert docs.get("d1").meta["backend"] == "external"
+    assert str(tmp_path) not in pred.read_text()
+
+
+def test_recognize_dead_backend_excludes_all(tmp_path, corpus_path):
+    pred, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
+    assert run("recognize", "--in", corpus_path, "--out", pred,
+               "--backend", f"{sys.executable} -c pass", "--timeout-ms", 5000,
+               "--report", report) == 0
+    payload = json.loads(report.read_text())
+    assert payload["predicted"] == 0
+    assert [doc_id for doc_id, _ in payload["excluded"]] == ["d1", "d2"]
+    assert all(r.startswith("ProtocolViolation") for _, r in payload["excluded"])
 
 
 def test_kappa_command(tmp_path):
@@ -201,6 +215,23 @@ def test_run_matrix_reports_byte_identical(tmp_path, corpus_path):
     assert first == again
     assert (tmp_path / "mx" / "train" / "real.conll").exists()
     assert (tmp_path / "mx" / "train" / "real.weights.json").exists()
+
+
+def test_run_matrix_recognizes_each_test_set_once(tmp_path, corpus_path, monkeypatch):
+    calls = []
+    real = recognize.recognize_corpus
+    monkeypatch.setattr(recognize, "recognize_corpus",
+                        lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    matrix = {
+        "train_sets": {"a": [str(corpus_path)], "b": [str(corpus_path)]},
+        "test_sets": {"dev": str(corpus_path), "holdout": str(corpus_path)},
+        "out_dir": str(tmp_path / "mx"),
+    }
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps(matrix))
+    assert run("run-matrix", matrix_path) == 0
+    assert len(calls) == 2
+    assert len(list((tmp_path / "mx" / "reports").iterdir())) == 4
 
 
 def test_run_matrix_rejects_unknown_keys(tmp_path, corpus_path):

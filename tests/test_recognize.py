@@ -17,9 +17,11 @@ from deidkit.recognize import (
     EXTERNAL,
     BackendTimeout,
     InvalidPattern,
+    ProtocolViolation,
     RecognizerBackend,
     Rule,
     Rulebook,
+    _SubprocessWire,
     align_token_predictions,
     default_rulebook,
     load_rulebook,
@@ -230,6 +232,51 @@ def test_recognize_repeated_runs_isolated(mock_cmd, tmp_path, note_corpus):
     assert len(runs) == 3
     texts = [[tuple(p.spans) for p in r.predictions] for r in runs]
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_dead_backend_excludes_every_document_at_once(note_corpus):
+    backend = RecognizerBackend(kind=EXTERNAL, endpoint=f"{sys.executable} -c pass",
+                                timeout_ms=5000)
+    for _ in range(5):
+        t0 = time.monotonic()
+        result = recognize_external(note_corpus, backend)
+        assert time.monotonic() - t0 < 2.0
+        assert result.predictions == []
+        assert [doc_id for doc_id, _ in result.excluded] == [d.id for d in note_corpus]
+        assert all(r.startswith("ProtocolViolation: backend process exited")
+                   for _, r in result.excluded)
+
+
+def test_subprocess_wire_drops_late_replies_and_closes_stdout(mock_cmd, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"late": "sleep_once:1000"}))
+    wire = _SubprocessWire(f"{mock_cmd} --script {script}", timeout_ms=500)
+    try:
+        for _ in range(20):  # until the mock has started and answers in time
+            try:
+                wire.request({"id": "warm", "text": "x", "schema": []})
+                break
+            except BackendTimeout:
+                pass
+        with pytest.raises(BackendTimeout):
+            wire.request({"id": "late", "text": "x", "schema": []})
+        time.sleep(1.0)  # the late reply lands while no request waits for it
+        assert wire.request({"id": "next", "text": "x", "schema": []}) == {
+            "id": "next", "spans": []}
+        assert wire._responses == {}
+    finally:
+        wire.close()
+    assert wire.proc.stdout.closed
+
+
+def test_subprocess_wire_drops_undecodable_lines():
+    wire = _SubprocessWire(f"{sys.executable} -c \"print('not json')\"", timeout_ms=5000)
+    try:
+        with pytest.raises(ProtocolViolation):
+            wire.request({"id": "a", "text": "x", "schema": []})
+        assert wire._responses == {}
+    finally:
+        wire.close()
 
 
 def test_http_round_trip(mock_cmd, tmp_path, note_corpus):

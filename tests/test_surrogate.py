@@ -1,10 +1,9 @@
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.core import Document, EntitySpan
 from deidkit.surrogate import (
     AGE_JITTER,
     REDACT,
@@ -119,13 +118,6 @@ def test_determinism_across_runs(sample_corpus):
     b = scrub_corpus(sample_corpus, SURROGATE, cfg)
     assert [d.text for d in a] == [d.text for d in b]
     assert [d.entities for d in a] == [d.entities for d in b]
-
-
-def test_determinism_across_parallelism(sample_corpus):
-    cfg = SurrogateConfig(seed=99, date_offset_days=7)
-    serial = scrub_corpus(sample_corpus, SURROGATE, cfg, max_workers=1)
-    parallel = scrub_corpus(sample_corpus, SURROGATE, cfg, max_workers=8)
-    assert [d.text for d in serial] == [d.text for d in parallel]
 
 
 def test_different_seeds_differ(sample_doc):
@@ -247,16 +239,6 @@ def test_packaged_lexicons_load():
         pool = load_lexicon(name)
         assert len(pool) >= 20
         assert all(entry.strip() == entry and entry for entry in pool)
-
-
-def test_scrub_corpus_thread_pool_matches_serial():
-    rng = random.Random(21)
-    docs = tuple(random_doc(rng, f"doc-{i:02d}") for i in range(30))
-    corpus = Corpus(documents=docs, schema=CANONICAL_SCHEMA)
-    cfg = SurrogateConfig(seed=17, date_offset_days=11)
-    serial = scrub_corpus(corpus, SURROGATE, cfg, max_workers=1)
-    threaded = scrub_corpus(corpus, SURROGATE, cfg, max_workers=6)
-    assert [d.text for d in serial] == [d.text for d in threaded]
 
 
 def test_no_leak_on_fuzz_docs():
