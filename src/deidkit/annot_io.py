@@ -68,19 +68,19 @@ class InvalidLabel(DeidError):
     """A CoNLL label that is not O, B-tag, or I-tag."""
 
 
+RECORD_OPEN = "<RECORD>"
+RECORD_CLOSE = "</RECORD>"
+ENTITY_ELEMENT = "TYPE"
+
+
 @dataclass(frozen=True)
 class InlineXmlPolicy:
     """Controls envelope handling and unknown-tag behavior for inline XML."""
 
-    record_open: str = "<RECORD>"
-    record_close: str = "</RECORD>"
-    entity_element: str = "TYPE"
     unknown_tag_action: str = REJECT  # reject | map_to_others | passthrough
     require_envelope: bool = False
 
     def __post_init__(self) -> None:
-        if not self.record_open or not self.record_close:
-            raise ValueError("record markers must be non-empty")
         if self.unknown_tag_action not in (REJECT, MAP_TO_OTHERS, PASSTHROUGH):
             raise ValueError(f"bad unknown_tag_action {self.unknown_tag_action!r}")
 
@@ -90,18 +90,18 @@ STRICT_XML_POLICY = InlineXmlPolicy(require_envelope=True)
 
 
 def _extract_envelope(raw: str, policy: InlineXmlPolicy) -> str:
-    open_at = raw.find(policy.record_open)
-    close_at = raw.find(policy.record_close)
+    open_at = raw.find(RECORD_OPEN)
+    close_at = raw.find(RECORD_CLOSE)
     if open_at == -1 and close_at == -1:
         if policy.require_envelope:
-            raise MissingEnvelope(f"no {policy.record_open} envelope found")
+            raise MissingEnvelope(f"no {RECORD_OPEN} envelope found")
         return raw
     if open_at == -1 or close_at == -1 or close_at < open_at:
         raise MalformedMarkup("unbalanced RECORD envelope")
-    if raw.find(policy.record_open, open_at + 1) != -1:
+    if raw.find(RECORD_OPEN, open_at + 1) != -1:
         raise MalformedMarkup("more than one RECORD envelope")
     # content outside the envelope (model preamble/epilogue) is dropped
-    return raw[open_at + len(policy.record_open) : close_at]
+    return raw[open_at + len(RECORD_OPEN) : close_at]
 
 
 def parse_inline_xml(
@@ -114,9 +114,8 @@ def parse_inline_xml(
     """Strip the markup from `raw` and return the plain-text document with
     one entity span per TYPE element, at post-stripping offsets."""
     body = _extract_envelope(raw, policy)
-    elem = policy.entity_element
-    open_prefix = f"<{elem}="
-    close_marker = f"</{elem}>"
+    open_prefix = f"<{ENTITY_ELEMENT}="
+    close_marker = f"</{ENTITY_ELEMENT}>"
 
     # Text between markers is copied in chunks. Each marker search resumes
     # from its last hit and is redone only once the scan has passed that
@@ -148,7 +147,7 @@ def parse_inline_xml(
             continue
         if i == next_open:
             if open_start is not None:
-                raise MalformedMarkup(f"nested {elem} element at offset {i}")
+                raise MalformedMarkup(f"nested {ENTITY_ELEMENT} element at offset {i}")
             j = i + len(open_prefix)
             if j >= n or body[j] not in "'\"":
                 raise MalformedMarkup(f"missing attribute quote at offset {i}")
@@ -169,7 +168,7 @@ def parse_inline_xml(
             if open_start is None:
                 raise MalformedMarkup(f"stray {close_marker} at offset {i}")
             if out_len == open_start:
-                raise EmptyEntity(f"empty {elem} element ending at offset {i}")
+                raise EmptyEntity(f"empty {ENTITY_ELEMENT} element ending at offset {i}")
             tag = open_tag
             if tag not in schema:
                 if policy.unknown_tag_action == REJECT:
@@ -182,22 +181,21 @@ def parse_inline_xml(
             open_start = None
             i += len(close_marker)
     if open_start is not None:
-        raise MalformedMarkup(f"unclosed {elem} element (tag {open_tag!r})")
+        raise MalformedMarkup(f"unclosed {ENTITY_ELEMENT} element (tag {open_tag!r})")
     return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=dict(meta or {}))
 
 
-def write_inline_xml(doc: Document, policy: InlineXmlPolicy = DEFAULT_XML_POLICY) -> str:
+def write_inline_xml(doc: Document) -> str:
     """Inverse of parse_inline_xml: wrap the text in the RECORD envelope and
     re-emit each entity as a single-quoted TYPE element."""
-    elem = policy.entity_element
-    parts: list[str] = [policy.record_open]
+    parts: list[str] = [RECORD_OPEN]
     cursor = 0
     for ent in doc.entities:
         parts.append(doc.text[cursor : ent.start])
-        parts.append(f"<{elem}='{ent.tag}'>{ent.surface}</{elem}>")
+        parts.append(f"<{ENTITY_ELEMENT}='{ent.tag}'>{ent.surface}</{ENTITY_ELEMENT}>")
         cursor = ent.end
     parts.append(doc.text[cursor:])
-    parts.append(policy.record_close)
+    parts.append(RECORD_CLOSE)
     return "".join(parts)
 
 
@@ -321,18 +319,15 @@ def write_jsonl(corpus: Corpus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
-                xml_policy: InlineXmlPolicy = DEFAULT_XML_POLICY) -> Corpus:
+def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
     """Load a corpus from a .jsonl or .conll file, or a .xml file/directory."""
     p = Path(path)
     if p.is_dir():
         docs = []
         for f in sorted(p.glob("*.xml")):
             docs.append(
-                parse_inline_xml(
-                    f.read_text(encoding="utf-8"), xml_policy,
-                    schema or CANONICAL_SCHEMA, doc_id=f.stem,
-                )
+                parse_inline_xml(f.read_text(encoding="utf-8"),
+                                 schema=schema or CANONICAL_SCHEMA, doc_id=f.stem)
             )
         return Corpus(documents=tuple(docs), schema=schema or CANONICAL_SCHEMA)
     raw = p.read_text(encoding="utf-8")
@@ -342,12 +337,12 @@ def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
     if suffix == ".conll":
         return read_conll(raw, schema or CANONICAL_SCHEMA)
     if suffix == ".xml":
-        doc = parse_inline_xml(raw, xml_policy, schema or CANONICAL_SCHEMA, doc_id=p.stem)
+        doc = parse_inline_xml(raw, schema=schema or CANONICAL_SCHEMA, doc_id=p.stem)
         return Corpus(documents=(doc,), schema=schema or CANONICAL_SCHEMA)
     raise DeidError(f"unsupported corpus format {suffix!r} ({p})")
 
 
-def write_corpus(corpus: Corpus, path, xml_policy: InlineXmlPolicy = DEFAULT_XML_POLICY) -> None:
+def write_corpus(corpus: Corpus, path) -> None:
     """Write a corpus to .jsonl/.conll, or to a directory of .xml files."""
     p = Path(path)
     suffix = p.suffix.lower()
@@ -358,8 +353,8 @@ def write_corpus(corpus: Corpus, path, xml_policy: InlineXmlPolicy = DEFAULT_XML
     elif suffix == ".xml":
         if len(corpus) != 1:
             raise DeidError(f"cannot write {len(corpus)} documents to a single .xml file")
-        p.write_text(write_inline_xml(corpus.documents[0], xml_policy), encoding="utf-8")
+        p.write_text(write_inline_xml(corpus.documents[0]), encoding="utf-8")
     else:
         p.mkdir(parents=True, exist_ok=True)
         for doc in corpus:
-            (p / f"{doc.id}.xml").write_text(write_inline_xml(doc, xml_policy), encoding="utf-8")
+            (p / f"{doc.id}.xml").write_text(write_inline_xml(doc), encoding="utf-8")

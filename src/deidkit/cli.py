@@ -37,11 +37,8 @@ class ConfigError(DeidError):
 class PipelineConfig:
     """Defaults shared across subcommands; flags always win."""
 
-    seed: int = 0
     concurrency: int = 4
     backend: str = ""
-    mode: str = evalmetrics.TOKEN
-    out_dir: str = "."
     surrogate: dict = dataclasses.field(default_factory=dict)
     filter: dict = dataclasses.field(default_factory=dict)
 
@@ -118,9 +115,7 @@ def cmd_map_tags(args) -> int:
     elif args.commercial:
         tm, policy = tagmap.commercial_comparison_map()
     else:
-        tm = tagmap.builtin_canonical_map(
-            sorted({e.tag for d in corpus for e in d.entities})
-        )
+        tm = tagmap.builtin_canonical_map()
     mapped, audit = tagmap.apply_tagmap(corpus, tm)
     if args.commercial and not args.map:
         mapped = Corpus(
@@ -340,7 +335,7 @@ def cmd_run_matrix(args) -> int:
         raise ConfigError(f"unknown matrix keys: {sorted(unknown)}")
     out_dir = Path(args.out_dir or grid.get("out_dir", "matrix-out"))
     mode = grid.get("mode", evalmetrics.TOKEN)
-    backend_name = os.environ.get(ENV_BACKEND) or grid.get("backend", "rules")
+    backend = _backend_from_args(args, PipelineConfig(backend=grid.get("backend", "rules")))
     test_corpora = {
         name: _read_union(paths) for name, paths in sorted(grid["test_sets"].items())
     }
@@ -352,10 +347,6 @@ def cmd_run_matrix(args) -> int:
         weights = corpusstats.class_weights(union)
         _write_json({"n": weights.n, "per_tag": weights.per_tag},
                     out_dir / "train" / f"{name}.weights.json")
-    if backend_name == "rules":
-        backend = recognize.RecognizerBackend(kind=recognize.BUILTIN_RULES, name="rules")
-    else:
-        backend = recognize.RecognizerBackend(kind=recognize.EXTERNAL, endpoint=backend_name)
     # predictions depend on the test set only: the train set never reaches
     # the recognizer, so each test set is recognized and scored once
     scored = {}
@@ -368,7 +359,7 @@ def cmd_run_matrix(args) -> int:
                 {
                     "train": train_name,
                     "test": test_name,
-                    "backend": backend.label,
+                    "backend": backend.name or backend.kind,
                     "seed": grid.get("seed", 0),
                     "metrics": evalmetrics.report_to_dict(report),
                     "confusion": evalmetrics.confusion_to_dict(matrix),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -28,6 +29,9 @@ from .corpusstats import hash_vector
 # recognize behaviors: echo | empty | oversize | overlap | token_form |
 #   error | drop | drop_once | sleep_once:<ms>
 # generate behaviors: ok | no_envelope | malformed | short | error
+# either request shape: exit (the process dies on this id, unanswered) |
+#   garbage (a non-JSON line instead of the reply)
+GARBAGE = "<<not a json reply>>"
 
 _FILLER_SENTENCES = (
     "The patient was admitted with complaints of fever and generalized weakness.",
@@ -112,8 +116,13 @@ class MockBackend:
             return n == 0
 
     def handle(self, req: dict):
-        """Returns the response dict, or None for a dropped request."""
+        """Returns the response dict, GARBAGE, or None for a dropped request."""
         request_id = req.get("id")
+        scripted = self._behavior(request_id, "")
+        if scripted == "exit":
+            os._exit(3)  # a crash: no reply, no cleanup, in stdio and HTTP mode
+        if scripted == "garbage":
+            return GARBAGE
         if "prompt" in req:
             behavior = self._behavior(request_id, "ok")
             if behavior == "error":
@@ -193,6 +202,10 @@ def _load_gold(path: str) -> dict:
     return gold
 
 
+def _encode(resp) -> str:
+    return resp if resp is GARBAGE else json.dumps(resp, ensure_ascii=False)
+
+
 def serve_stdio(backend: MockBackend) -> None:
     for line in sys.stdin:
         line = line.strip()
@@ -204,7 +217,7 @@ def serve_stdio(backend: MockBackend) -> None:
             continue
         resp = backend.handle(req)
         if resp is not None:
-            sys.stdout.write(json.dumps(resp, ensure_ascii=False) + "\n")
+            sys.stdout.write(_encode(resp) + "\n")
             sys.stdout.flush()
 
 
@@ -217,8 +230,8 @@ def serve_http(backend: MockBackend, port: int) -> None:
             req = json.loads(self.rfile.read(length).decode("utf-8"))
             resp = backend.handle(req)
             if resp is None:
-                return  # connection dropped; the client times out
-            body = json.dumps(resp, ensure_ascii=False).encode("utf-8")
+                return  # the connection closes without a reply
+            body = _encode(resp).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

@@ -16,6 +16,7 @@ any check is excluded with a recorded reason and the run continues.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import shlex
@@ -82,12 +83,8 @@ class Rule:
 @dataclass(frozen=True)
 class Rulebook:
     name: str
-    rules: tuple  # of Rule, in declaration order
+    rules: tuple  # of Rule: patterns in declaration order, then lexicons
     priority: tuple  # tag order for tie-breaking
-    lexicon_rules: tuple = ()  # of Rule built from lexicon alternations
-
-    def all_rules(self) -> tuple:
-        return self.rules + self.lexicon_rules
 
 
 _FLAG_MAP = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
@@ -116,19 +113,15 @@ def load_rulebook(path=None) -> Rulebook:
     else:
         raw = Path(path).read_text(encoding="utf-8")
     data = json.loads(raw)
-    rules = tuple(
-        _compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]
-    )
-    lexicon_rules = []
+    rules = [_compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]]
     for tag, source in data.get("lexicons", {}).items():
         entries = load_lexicon(source)
         alternation = "|".join(re.escape(e) for e in sorted(entries, key=len, reverse=True))
-        lexicon_rules.append(_compile(tag, rf"\b(?:{alternation})\b", "i"))
+        rules.append(_compile(tag, rf"\b(?:{alternation})\b", "i"))
     return Rulebook(
         name=data.get("name", "rulebook"),
-        rules=rules,
+        rules=tuple(rules),
         priority=tuple(data.get("priority", ())),
-        lexicon_rules=tuple(lexicon_rules),
     )
 
 
@@ -148,7 +141,7 @@ def recognize_rules(text: str, rulebook: Optional[Rulebook] = None) -> list[Enti
     book = rulebook if rulebook is not None else default_rulebook()
     prio = {tag: i for i, tag in enumerate(book.priority)}
     candidates = []
-    for rule in book.all_rules():
+    for rule in book.rules:
         for start, end in rule.matches(text):
             candidates.append((end - start, start, end, rule.tag))
     candidates.sort(key=lambda c: (-c[0], c[1], prio.get(c[3], len(prio))))
@@ -227,6 +220,10 @@ class _HttpWire:
             raise ProtocolViolation(f"http error: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ProtocolViolation(f"undecodable response: {exc}") from exc
+        except (http.client.HTTPException, OSError) as exc:
+            # a connection closed without a reply (RemoteDisconnected) or
+            # reset mid-read; urllib wraps neither in URLError
+            raise ProtocolViolation(f"http error: {exc}") from exc
 
     def close(self) -> None:
         pass
@@ -432,16 +429,6 @@ def recognize_external(docs: Union[Corpus, Sequence[Document]],
         else:
             result.excluded.append((doc.id, reason))
     return result
-
-
-def recognize_repeated(docs: Union[Corpus, Sequence[Document]],
-                       backend: RecognizerBackend, repeats: int) -> list[ExternalRunResult]:
-    """Fixed-repeat mode for nondeterministic backends: the same documents
-    are submitted `repeats` times and per-repeat results are kept separate
-    so variance can be reported."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    return [recognize_external(docs, backend) for _ in range(repeats)]
 
 
 def recognize_corpus(corpus: Corpus, backend: RecognizerBackend,

@@ -43,31 +43,6 @@ LOW_PRINTABLE_RATIO = "low_printable_ratio"
 HIGH_REPETITION = "high_repetition"
 UNKNOWN_TAG = "unknown_tag"
 
-REQUIRED_SECTIONS_BC = (
-    "Admission Details",
-    "Diagnosis / Chief Complaints",
-    "Allergies",
-    "Physical Examination",
-    "Medical History",
-    "Family Medical history",
-    "Treatment Plan",
-    "Investigations",
-    "Medications",
-    "Follow-up Instructions",
-    "Procedures/Lab Tests Conducted",
-    "Special Instructions",
-)
-
-ENTITY_INVENTORY_C = (
-    "Patient Name", "Hospital_Name", "Staff_Name", "Doctor_Name", "Age",
-    "Gaurdian_Name", "Gender", "Patient_ID", "Misc_Medical_ID", "Aadhar",
-    "Driver_License", "Voter_ID", "PAN_Card", "Patient_DOB", "Treatment_Date",
-    "Treatment_Time", "Phone_No", "Landline", "Email", "IP_Address", "Fax",
-    "Doctor_Specialisation", "Patient_Profession", "City", "Ward_Location",
-    "Device_Number", "Other_Info", "State", "Street", "Zip", "Country",
-    "Other_Location", "Other_Govt_ID", "Insurance_Number", "Web_url",
-)
-
 
 class SlotMissing(DeidError):
     """A template body without exactly one exemplar slot."""
@@ -77,8 +52,6 @@ class SlotMissing(DeidError):
 class PromptTemplate:
     id: str
     body: str
-    required_sections: tuple = ()
-    entity_inventory: tuple = ()
 
     def __post_init__(self) -> None:
         n = self.body.count(EXEMPLAR_SLOT)
@@ -96,10 +69,7 @@ def load_template(which: str) -> PromptTemplate:
             .joinpath(f"prompt_{key.lower()}.txt")
             .read_text(encoding="utf-8")
         )
-        sections = REQUIRED_SECTIONS_BC if key in ("B", "C") else ()
-        inventory = ENTITY_INVENTORY_C if key == "C" else ()
-        return PromptTemplate(id=key, body=body, required_sections=sections,
-                              entity_inventory=inventory)
+        return PromptTemplate(id=key, body=body)
     body = Path(which).read_text(encoding="utf-8")
     return PromptTemplate(id="custom", body=body)
 

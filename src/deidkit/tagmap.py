@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
 
 from .core import (
     CANONICAL_SCHEMA,
@@ -37,11 +36,9 @@ def normalize_tag(tag: str) -> str:
 
 @dataclass(frozen=True)
 class TagMap:
-    source_schema: TagSchema
     target_schema: TagSchema
     rules: dict  # normalized source tag -> target tag
     default: str
-    name: str = "tagmap"
 
     def __post_init__(self) -> None:
         if self.default not in self.target_schema:
@@ -129,31 +126,13 @@ def _flatten_rows(rows: dict) -> dict:
     return rules
 
 
-def builtin_canonical_map(
-    source_inventory: Iterable[str] = (), overrides: Optional[dict] = None
-) -> TagMap:
-    """The shipped source-tag -> canonical-tag table.
-
-    `source_inventory` widens the source schema to cover tags seen in the
-    data (unlisted ones fall to the default); `overrides` rewrites individual
-    rules, e.g. to send "Contact Information" to LOCATION instead."""
+def builtin_canonical_map() -> TagMap:
+    """The shipped source-tag -> canonical-tag table."""
     payload = _load_rules_file()
-    rules = _flatten_rows(payload["rows"])
-    for src, dst in (overrides or {}).items():
-        rules[normalize_tag(src)] = dst
-    inventory = list(source_inventory)
-    # source schema covers both the table rows and whatever the data uses
-    source = build_schema(
-        [s for row in payload["rows"].values() for s in row] + inventory,
-        name="source-inventory",
-        other=payload["default"],
-    )
     return TagMap(
-        source_schema=source,
         target_schema=CANONICAL_SCHEMA,
-        rules=rules,
+        rules=_flatten_rows(payload["rows"]),
         default=payload["default"],
-        name=payload["name"],
     )
 
 
@@ -167,13 +146,7 @@ def commercial_comparison_map() -> tuple[TagMap, NormalizationPolicy]:
     }
     for tag in ("DATE", "LOCATION", "AGE", "ID", "CONTACT", "OTHERS"):
         rules[normalize_tag(tag)] = tag
-    tag_map = TagMap(
-        source_schema=CANONICAL_SCHEMA,
-        target_schema=COMMERCIAL_SCHEMA,
-        rules=rules,
-        default="OTHERS",
-        name="commercial-6",
-    )
+    tag_map = TagMap(target_schema=COMMERCIAL_SCHEMA, rules=rules, default="OTHERS")
     return tag_map, NormalizationPolicy()
 
 
@@ -194,7 +167,8 @@ def apply_tagmap(corpus: Corpus, tag_map: TagMap) -> tuple[Corpus, MappingAudit]
 
 def load_tagmap(path) -> TagMap:
     """Read a map from JSON: either row orientation {rows: {target: [sources]}}
-    or flat {rules: {source: target}}, plus target/default and optional name."""
+    or flat {rules: {source: target}}, plus target/default and optional name
+    (the target schema's name)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if "rows" in payload:
         rules = _flatten_rows(payload["rows"])
@@ -204,19 +178,7 @@ def load_tagmap(path) -> TagMap:
         targets = payload.get("target", sorted(set(payload["rules"].values())))
     default = payload.get("default", "OTHERS")
     target_schema = build_schema(targets, name=payload.get("name", "tagmap"), other=default)
-    source = payload.get("source")
-    source_schema = (
-        build_schema(source, name="source", other=default)
-        if source
-        else build_schema(list(rules), name="source", other=default)
-    )
-    return TagMap(
-        source_schema=source_schema,
-        target_schema=target_schema,
-        rules=rules,
-        default=default,
-        name=payload.get("name", "tagmap"),
-    )
+    return TagMap(target_schema=target_schema, rules=rules, default=default)
 
 
 def tag_distribution(corpus: Corpus) -> dict:

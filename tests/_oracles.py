@@ -12,6 +12,7 @@ import string
 
 from deidkit.annot_io import (
     DEFAULT_XML_POLICY,
+    ENTITY_ELEMENT,
     MAP_TO_OTHERS,
     REJECT,
     EmptyEntity,
@@ -205,7 +206,7 @@ def oracle_parse_inline_xml(raw: str, policy=DEFAULT_XML_POLICY, schema=CANONICA
     """Test for a marker at every offset, copy one character otherwise, and
     re-join the whole output at every close tag to cut out the surface."""
     body = _extract_envelope(raw, policy)
-    elem = policy.entity_element
+    elem = ENTITY_ELEMENT
     open_prefix = f"<{elem}="
     close_marker = f"</{elem}>"
 
@@ -268,7 +269,7 @@ def oracle_recognize_rules(text: str, rulebook=None) -> list:
     book = rulebook if rulebook is not None else default_rulebook()
     prio = {tag: i for i, tag in enumerate(book.priority)}
     candidates = []
-    for rule in book.all_rules():
+    for rule in book.rules:
         for start, end in rule.matches(text):
             candidates.append((end - start, start, end, rule.tag))
     candidates.sort(key=lambda c: (-c[0], c[1], prio.get(c[3], len(prio))))

@@ -171,7 +171,7 @@ def test_c04_bio_and_serialization_round_trips(verdict):
 # 5 ------------------------------------------------------------------------
 
 def test_c05_tag_mapping_table_totality_idempotence(verdict):
-    tm = builtin_canonical_map(list(SHIPPED_TABLE))
+    tm = builtin_canonical_map()
     bad = [(src, tm.map_tag(src)) for src, target in SHIPPED_TABLE.items()
            if tm.map_tag(src) != (target, True)]
 
@@ -180,8 +180,7 @@ def test_c05_tag_mapping_table_totality_idempotence(verdict):
                              EntitySpan(2, 3, "Patient_Name", "b")))
     src = Corpus(documents=(doc,),
                  schema=build_schema(["Blood_Group", "Patient_Name"]))
-    once, audit = apply_tagmap(src, builtin_canonical_map(["Blood_Group",
-                                                           "Patient_Name"]))
+    once, audit = apply_tagmap(src, builtin_canonical_map())
     if [e.tag for e in once.get("d").entities] != ["OTHERS", "PATIENT"]:
         bad.append(("fallback", once.get("d").entities))
     if audit.unmapped != {"Blood_Group": 1}:

@@ -234,6 +234,21 @@ def test_run_matrix_recognizes_each_test_set_once(tmp_path, corpus_path, monkeyp
     assert len(list((tmp_path / "mx" / "reports").iterdir())) == 4
 
 
+def test_run_matrix_report_names_backend_kind_not_endpoint(tmp_path, corpus_path, mock_cmd):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(write_jsonl(read_corpus(corpus_path)))
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({
+        "train_sets": {"a": [str(corpus_path)]}, "test_sets": {"dev": str(corpus_path)},
+        "backend": f"{mock_cmd} --gold {gold}", "out_dir": str(tmp_path / "mx"),
+    }))
+    assert run("run-matrix", matrix_path) == 0
+    report = (tmp_path / "mx" / "reports" / "a__dev.json").read_text()
+    assert json.loads(report)["backend"] == "external"
+    assert json.loads(report)["metrics"]["micro"]["f1"] == 1.0
+    assert str(tmp_path) not in report
+
+
 def test_run_matrix_rejects_unknown_keys(tmp_path, corpus_path):
     matrix_path = tmp_path / "matrix.json"
     matrix_path.write_text(json.dumps({
@@ -244,15 +259,27 @@ def test_run_matrix_rejects_unknown_keys(tmp_path, corpus_path):
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1, "typo_key": 2}))
+    path.write_text(json.dumps({"concurrency": 1, "typo_key": 2}))
     with pytest.raises(ConfigError):
         PipelineConfig.load(path)
+    for dead in ("seed", "mode", "out_dir"):
+        path.write_text(json.dumps({dead: 4}))
+        with pytest.raises(ConfigError, match=dead):
+            PipelineConfig.load(path)
     path.write_text(json.dumps({"surrogate": {"seed": 3, "bogus": 1}}))
     with pytest.raises(ConfigError):
         PipelineConfig.load(path)
-    path.write_text(json.dumps({"seed": 4, "surrogate": {"date_offset_days": 2}}))
+    path.write_text(json.dumps({"concurrency": 2, "surrogate": {"date_offset_days": 2}}))
     cfg = PipelineConfig.load(path)
-    assert cfg.seed == 4 and cfg.surrogate == {"date_offset_days": 2}
+    assert cfg.concurrency == 2 and cfg.surrogate == {"date_offset_days": 2}
+
+
+def test_deidentify_config_rejects_top_level_seed(tmp_path, corpus_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    assert run("deidentify", "--in", corpus_path, "--out", tmp_path / "o.jsonl",
+               "--config", cfg) == 1
+    assert "'seed'" in caplog.text
 
 
 def test_config_feeds_deidentify(tmp_path, corpus_path):

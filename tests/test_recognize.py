@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import re
@@ -8,7 +9,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deidkit.annot_io import write_jsonl
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
@@ -27,7 +28,6 @@ from deidkit.recognize import (
     load_rulebook,
     recognize_corpus,
     recognize_external,
-    recognize_repeated,
     recognize_rules,
 )
 
@@ -208,7 +208,7 @@ def test_timeout_then_retry_succeeds(mock_cmd, tmp_path, note_corpus):
 def test_timeout_without_retry_excludes(mock_cmd, tmp_path, note_corpus):
     script = {"doc-2": "drop"}
     backend = subprocess_backend(mock_cmd, tmp_path, script=script, gold=note_corpus,
-                                 timeout_ms=400, retry=0)
+                                 timeout_ms=2000, retry=0)
     result = recognize_external(note_corpus, backend)
     excluded_ids = [doc_id for doc_id, _ in result.excluded]
     assert excluded_ids == ["doc-2"]
@@ -228,10 +228,39 @@ def test_token_form_responses_align(mock_cmd, tmp_path):
 
 def test_recognize_repeated_runs_isolated(mock_cmd, tmp_path, note_corpus):
     backend = subprocess_backend(mock_cmd, tmp_path, gold=note_corpus)
-    runs = recognize_repeated(note_corpus, backend, repeats=3)
+    runs = [recognize_external(note_corpus, backend) for _ in range(3)]
     assert len(runs) == 3
     texts = [[tuple(p.spans) for p in r.predictions] for r in runs]
     assert texts[0] == texts[1] == texts[2]
+
+
+FAULTS = ("echo", "error", "oversize", "overlap", "drop", "garbage", "exit")
+START_UP_ALLOWANCE_S = 3.0  # spawning the backend, the pool, and closing both
+
+
+@settings(max_examples=6)
+@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=6), st.integers(0, 1))
+def test_faulty_backend_accounts_for_every_document(mock_cmd, tmp_path_factory,
+                                                    behaviors, retry):
+    docs = [Document(id=f"doc-{i}", text=NOTE, entities=()) for i in range(len(behaviors))]
+    script = dict(zip((d.id for d in docs), behaviors))
+    path = tmp_path_factory.mktemp("faults") / "script.json"
+    path.write_text(json.dumps(script))
+    # one slot per document, so no request queues behind a timed-out one
+    backend = RecognizerBackend(kind=EXTERNAL, endpoint=f"{mock_cmd} --script {path}",
+                                timeout_ms=500, retry=retry, max_in_flight=len(docs))
+    t0 = time.monotonic()
+    result = recognize_external(docs, backend)
+    elapsed = time.monotonic() - t0
+    predicted = [p.doc_id for p in result.predictions]
+    excluded = [doc_id for doc_id, _ in result.excluded]
+    assert len(predicted) + len(excluded) == len(docs)
+    assert sorted(predicted + excluded) == sorted(script)
+    assert all(script[doc_id] == "echo" for doc_id in predicted)
+    assert all(reason.startswith(("BackendTimeout: ", "ProtocolViolation: ",
+                                  "SpanOutOfRange: "))
+               for _, reason in result.excluded)
+    assert elapsed < (retry + 1) * 0.5 + START_UP_ALLOWANCE_S
 
 
 def test_dead_backend_excludes_every_document_at_once(note_corpus):
@@ -307,6 +336,42 @@ def test_http_round_trip(mock_cmd, tmp_path, note_corpus):
     finally:
         proc.terminate()
         proc.wait(timeout=5)
+
+
+@contextlib.contextmanager
+def http_mock(*args):
+    """A mock_backend serving HTTP on a free local port; yields its URL."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deidkit.mock_backend", *args, "--http", str(port)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                with socket.create_connection(("127.0.0.1", port), timeout=0.2):
+                    break
+            except OSError:
+                time.sleep(0.05)
+        yield f"http://127.0.0.1:{port}/"
+    finally:
+        proc.terminate()
+        proc.wait(timeout=5)
+
+
+def test_http_dropped_connection_excludes_document(tmp_path, note_corpus):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"doc-1": "drop"}))
+    docs = note_corpus.documents[:3]
+    with http_mock("--script", str(script)) as url:
+        backend = RecognizerBackend(kind=EXTERNAL, endpoint=url, timeout_ms=5000)
+        result = recognize_external(docs, backend)
+    assert [p.doc_id for p in result.predictions] == ["doc-0", "doc-2"]
+    assert [doc_id for doc_id, _ in result.excluded] == ["doc-1"]
+    assert result.excluded[0][1].startswith("ProtocolViolation: http error")
 
 
 def test_recognize_corpus_builtin_never_excludes(note_corpus):

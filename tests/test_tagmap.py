@@ -92,10 +92,9 @@ def test_map_is_idempotent_on_corpus():
     )
     src = Corpus(documents=(doc,),
                  schema=build_schema(["Patient_Name", "Blood_Group", "Age"]))
-    tm = builtin_canonical_map(["Patient_Name", "Blood_Group", "Age"])
+    tm = builtin_canonical_map()
     once, _ = apply_tagmap(src, tm)
-    tm2 = builtin_canonical_map([t for d in once for t in (e.tag for e in d.entities)])
-    twice, _ = apply_tagmap(once, tm2)
+    twice, _ = apply_tagmap(once, tm)
     assert [e.tag for d in once for e in d.entities] == \
            [e.tag for d in twice for e in d.entities] == ["PATIENT", "OTHERS", "AGE"]
 
@@ -110,8 +109,7 @@ def test_audit_conservation():
     )
     src = Corpus(documents=(doc,), schema=build_schema(
         ["Patient_Name", "Blood_Group", "Age"]))
-    mapped, audit = apply_tagmap(src, builtin_canonical_map(
-        ["Patient_Name", "Blood_Group", "Age"]))
+    mapped, audit = apply_tagmap(src, builtin_canonical_map())
     assert audit.total == 4
     assert audit.rule_hits == {"Patient_Name": 2, "Age": 1}
     assert audit.unmapped == {"Blood_Group": 1}
@@ -183,8 +181,7 @@ def test_load_tagmap_flat_rules(tmp_path):
 
 def test_tagmap_rejects_target_outside_schema():
     with pytest.raises(ValueError):
-        TagMap(source_schema=CANONICAL_SCHEMA, target_schema=CANONICAL_SCHEMA,
-               rules={"x": "NAME"}, default="OTHERS")
+        TagMap(target_schema=CANONICAL_SCHEMA, rules={"x": "NAME"}, default="OTHERS")
 
 
 def test_tag_distribution(sample_corpus):
