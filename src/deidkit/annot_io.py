@@ -16,7 +16,6 @@ entities carry start, end and tag (the surface is recovered from the text).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -29,15 +28,11 @@ from .core import (
     TagSchema,
     TokenSeq,
     Token,
+    UnknownTag,
     bio_to_spans,
     build_schema,
     spans_to_bio,
-    tokenize,
 )
-
-REJECT = "reject"
-MAP_TO_OTHERS = "map_to_others"
-PASSTHROUGH = "passthrough"
 
 
 class MalformedMarkup(DeidError):
@@ -46,10 +41,6 @@ class MalformedMarkup(DeidError):
 
 class MissingEnvelope(DeidError):
     """The RECORD envelope is required but absent."""
-
-
-class UnknownTag(DeidError):
-    """An entity tag outside the declared schema, under the reject policy."""
 
 
 class EmptyEntity(DeidError):
@@ -73,27 +64,11 @@ RECORD_CLOSE = "</RECORD>"
 ENTITY_ELEMENT = "TYPE"
 
 
-@dataclass(frozen=True)
-class InlineXmlPolicy:
-    """Controls envelope handling and unknown-tag behavior for inline XML."""
-
-    unknown_tag_action: str = REJECT  # reject | map_to_others | passthrough
-    require_envelope: bool = False
-
-    def __post_init__(self) -> None:
-        if self.unknown_tag_action not in (REJECT, MAP_TO_OTHERS, PASSTHROUGH):
-            raise ValueError(f"bad unknown_tag_action {self.unknown_tag_action!r}")
-
-
-DEFAULT_XML_POLICY = InlineXmlPolicy()
-STRICT_XML_POLICY = InlineXmlPolicy(require_envelope=True)
-
-
-def _extract_envelope(raw: str, policy: InlineXmlPolicy) -> str:
+def _extract_envelope(raw: str, require_envelope: bool) -> str:
     open_at = raw.find(RECORD_OPEN)
     close_at = raw.find(RECORD_CLOSE)
     if open_at == -1 and close_at == -1:
-        if policy.require_envelope:
+        if require_envelope:
             raise MissingEnvelope(f"no {RECORD_OPEN} envelope found")
         return raw
     if open_at == -1 or close_at == -1 or close_at < open_at:
@@ -104,16 +79,11 @@ def _extract_envelope(raw: str, policy: InlineXmlPolicy) -> str:
     return raw[open_at + len(RECORD_OPEN) : close_at]
 
 
-def parse_inline_xml(
-    raw: str,
-    policy: InlineXmlPolicy = DEFAULT_XML_POLICY,
-    schema: TagSchema = CANONICAL_SCHEMA,
-    doc_id: str = "doc",
-    meta: Optional[dict] = None,
-) -> Document:
+def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "doc") -> Document:
     """Strip the markup from `raw` and return the plain-text document with
-    one entity span per TYPE element, at post-stripping offsets."""
-    body = _extract_envelope(raw, policy)
+    one entity span per TYPE element, at post-stripping offsets. Tags are
+    kept as written; the corpus that takes the document checks them."""
+    body = _extract_envelope(raw, require_envelope)
     open_prefix = f"<{ENTITY_ELEMENT}="
     close_marker = f"</{ENTITY_ELEMENT}>"
 
@@ -169,20 +139,13 @@ def parse_inline_xml(
                 raise MalformedMarkup(f"stray {close_marker} at offset {i}")
             if out_len == open_start:
                 raise EmptyEntity(f"empty {ENTITY_ELEMENT} element ending at offset {i}")
-            tag = open_tag
-            if tag not in schema:
-                if policy.unknown_tag_action == REJECT:
-                    raise UnknownTag(f"tag {tag!r} not in schema {schema.name!r}")
-                if policy.unknown_tag_action == MAP_TO_OTHERS:
-                    tag = schema.other
-                # passthrough keeps the tag verbatim
             surface = "".join(out[open_chunk:])
-            entities.append(EntitySpan(start=open_start, end=out_len, tag=tag, surface=surface))
+            entities.append(EntitySpan(start=open_start, end=out_len, tag=open_tag, surface=surface))
             open_start = None
             i += len(close_marker)
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {ENTITY_ELEMENT} element (tag {open_tag!r})")
-    return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=dict(meta or {}))
+    return Document(id=doc_id, text="".join(out), entities=tuple(entities))
 
 
 def write_inline_xml(doc: Document) -> str:
@@ -199,7 +162,8 @@ def write_inline_xml(doc: Document) -> str:
     return "".join(parts)
 
 
-def read_conll(raw: str, schema: TagSchema = CANONICAL_SCHEMA, strict: bool = True) -> Corpus:
+def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
+               strict: bool = True) -> Corpus:
     """Parse tab-separated token/label lines into a corpus.
 
     Documents are rebuilt by joining tokens with single spaces; BIO validity
@@ -240,7 +204,7 @@ def read_conll(raw: str, schema: TagSchema = CANONICAL_SCHEMA, strict: bool = Tr
         tokens.append(tok)
         labels.append(lab)
     flush()
-    return Corpus(documents=tuple(docs), schema=schema)
+    return as_corpus(docs, schema)
 
 
 def write_conll(corpus: Corpus) -> str:
@@ -288,8 +252,7 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
 
 
 def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
-    """One document per line. With schema=None the schema is inferred from
-    the observed tags; otherwise tags outside the schema are rejected."""
+    """One document per line; the schema is settled by as_corpus."""
     docs: list[Document] = []
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
@@ -299,14 +262,7 @@ def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corp
         except json.JSONDecodeError as exc:
             raise BadRecordLine(f"line {lineno}: {exc}") from exc
         docs.append(document_from_record(rec, lineno))
-    if schema is None:
-        tags = [e.tag for d in docs for e in d.entities]
-        schema = build_schema(tags)
-    for doc in docs:
-        for ent in doc.entities:
-            if ent.tag not in schema:
-                raise UnknownTag(f"doc {doc.id!r}: tag {ent.tag!r} not in schema {schema.name!r}")
-    return Corpus(documents=tuple(docs), schema=schema)
+    return as_corpus(docs, schema)
 
 
 def write_jsonl(corpus: Corpus) -> str:
@@ -319,26 +275,34 @@ def write_jsonl(corpus: Corpus) -> str:
     return "\n".join(lines) + "\n"
 
 
+def as_corpus(docs: Iterable[Document], schema: Optional[TagSchema]) -> Corpus:
+    """The one place a parsed corpus gets its schema: `schema` itself, whose
+    tags Corpus checks (UnknownTag), or with schema=None one inferred from
+    the tags the documents carry."""
+    docs = tuple(docs)
+    if schema is None:
+        schema = build_schema(e.tag for d in docs for e in d.entities)
+    return Corpus(documents=docs, schema=schema)
+
+
 def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
-    """Load a corpus from a .jsonl or .conll file, or a .xml file/directory."""
+    """Load a corpus from a .jsonl or .conll file, or a .xml file/directory.
+    With schema=None the schema is inferred from the observed tags."""
     p = Path(path)
     if p.is_dir():
-        docs = []
-        for f in sorted(p.glob("*.xml")):
-            docs.append(
-                parse_inline_xml(f.read_text(encoding="utf-8"),
-                                 schema=schema or CANONICAL_SCHEMA, doc_id=f.stem)
-            )
-        return Corpus(documents=tuple(docs), schema=schema or CANONICAL_SCHEMA)
+        return as_corpus(
+            (parse_inline_xml(f.read_text(encoding="utf-8"), doc_id=f.stem)
+             for f in sorted(p.glob("*.xml"))),
+            schema,
+        )
     raw = p.read_text(encoding="utf-8")
     suffix = p.suffix.lower()
     if suffix == ".jsonl":
         return read_jsonl(raw, schema)
     if suffix == ".conll":
-        return read_conll(raw, schema or CANONICAL_SCHEMA)
+        return read_conll(raw, schema)
     if suffix == ".xml":
-        doc = parse_inline_xml(raw, schema=schema or CANONICAL_SCHEMA, doc_id=p.stem)
-        return Corpus(documents=(doc,), schema=schema or CANONICAL_SCHEMA)
+        return as_corpus([parse_inline_xml(raw, doc_id=p.stem)], schema)
     raise DeidError(f"unsupported corpus format {suffix!r} ({p})")
 
 

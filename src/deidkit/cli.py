@@ -329,7 +329,7 @@ def _load_raw(source: str) -> dict:
 
 def cmd_run_matrix(args) -> int:
     grid = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
-    allowed = {"train_sets", "test_sets", "mode", "seed", "out_dir", "backend"}
+    allowed = {"train_sets", "test_sets", "mode", "out_dir", "backend"}
     unknown = set(grid) - allowed
     if unknown:
         raise ConfigError(f"unknown matrix keys: {sorted(unknown)}")
@@ -360,7 +360,6 @@ def cmd_run_matrix(args) -> int:
                     "train": train_name,
                     "test": test_name,
                     "backend": backend.name or backend.kind,
-                    "seed": grid.get("seed", 0),
                     "metrics": evalmetrics.report_to_dict(report),
                     "confusion": evalmetrics.confusion_to_dict(matrix),
                 },
@@ -372,15 +371,16 @@ def cmd_run_matrix(args) -> int:
 
 
 def _read_union(paths) -> Corpus:
+    """The documents of one or more files. Readers number documents per file
+    (read_conll gives doc-0, doc-1, ... in each), so in a union of two or
+    more files every id is prefixed with the index of its file."""
     if isinstance(paths, str):
         paths = [paths]
-    docs = []
-    schema = CANONICAL_SCHEMA
-    for path in paths:
-        corpus = annot_io.read_corpus(path)
-        schema = corpus.schema
-        docs.extend(corpus.documents)
-    return Corpus(documents=tuple(docs), schema=schema)
+    corpora = [annot_io.read_corpus(path) for path in paths]
+    if len(corpora) == 1:
+        return corpora[0]
+    return Corpus(documents=tuple(dataclasses.replace(doc, id=f"{i}:{doc.id}")
+                                  for i, corpus in enumerate(corpora) for doc in corpus))
 
 
 # --- parser ----------------------------------------------------------------
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("run-matrix", help="evaluation grid over dataset cells")
-    p.add_argument("matrix", help="matrix JSON: train_sets, test_sets, mode, seed")
+    p.add_argument("matrix", help="matrix JSON: train_sets, test_sets, mode, out_dir, backend")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_run_matrix)
 

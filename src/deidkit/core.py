@@ -34,6 +34,10 @@ class InvalidBioSequence(DeidError):
     """A label sequence violates the B/I/O transition rules."""
 
 
+class UnknownTag(DeidError, ValueError):
+    """An entity tag outside the schema of the corpus that holds it."""
+
+
 # Canonical tag inventory. OTHERS is the non-PHI catch-all.
 CANONICAL_TAGS = (
     "CONTACT",
@@ -149,7 +153,7 @@ class Corpus:
             seen.add(doc.id)
             for ent in doc.entities:
                 if ent.tag not in self.schema:
-                    raise ValueError(
+                    raise UnknownTag(
                         f"doc {doc.id!r}: tag {ent.tag!r} not in schema {self.schema.name!r}"
                     )
 

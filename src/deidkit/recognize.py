@@ -176,17 +176,12 @@ class RecognizerBackend:
         if self.timeout_ms <= 0 or self.retry < 0 or self.max_in_flight < 1:
             raise ValueError("bad backend limits")
 
-    @property
-    def label(self) -> str:
-        return self.name or (self.kind if self.kind == BUILTIN_RULES else self.endpoint)
-
 
 @dataclass(frozen=True)
 class Prediction:
     doc_id: str
     spans: tuple
     latency_ms: float = 0.0
-    backend_name: str = ""
 
 
 @dataclass
@@ -424,8 +419,7 @@ def recognize_external(docs: Union[Corpus, Sequence[Document]],
     result = ExternalRunResult(retries=retries)
     for doc, (spans, reason, latency) in zip(doc_list, outcomes):
         if reason is None:
-            result.predictions.append(Prediction(doc_id=doc.id, spans=spans, latency_ms=latency,
-                                                 backend_name=backend.label))
+            result.predictions.append(Prediction(doc_id=doc.id, spans=spans, latency_ms=latency))
         else:
             result.excluded.append((doc.id, reason))
     return result
@@ -441,8 +435,7 @@ def recognize_corpus(corpus: Corpus, backend: RecognizerBackend,
             spans = recognize_rules(doc.text, rulebook)
             result.predictions.append(
                 Prediction(doc_id=doc.id, spans=tuple(spans),
-                           latency_ms=(time.monotonic() - t0) * 1000.0,
-                           backend_name=backend.label)
+                           latency_ms=(time.monotonic() - t0) * 1000.0)
             )
         return result
     return recognize_external(corpus, backend)

@@ -18,16 +18,15 @@ from pathlib import Path
 from typing import Optional
 
 from .annot_io import (
-    InlineXmlPolicy,
     MalformedMarkup,
     MissingEnvelope,
     EmptyEntity,
-    PASSTHROUGH,
+    as_corpus,
     parse_inline_xml,
     write_inline_xml,
     write_jsonl,
 )
-from .core import CANONICAL_SCHEMA, Corpus, DeidError, Document, TagSchema, build_schema, tokenize
+from .core import Corpus, DeidError, Document, tokenize
 from .corpusstats import EmptyCorpus, bertscore_greedy, hash_embedding
 from .recognize import ProtocolViolation, RecognizerBackend, _call_each, open_wire
 from .tagmap import apply_tagmap, builtin_canonical_map
@@ -200,23 +199,19 @@ def _repeat_ratio(token_surfaces: list) -> float:
     return max(counts.values()) / len(token_surfaces)
 
 
-def filter_outputs(raw: dict, policy: Optional[FilterPolicy] = None,
-                   schema: TagSchema = CANONICAL_SCHEMA) -> tuple[Corpus, RejectReport]:
+def filter_outputs(raw: dict,
+                   policy: Optional[FilterPolicy] = None) -> tuple[Corpus, RejectReport]:
     """Validate raw generations into a canonical-schema corpus. Checks run
     in a fixed order and the first failure becomes the reject reason."""
     if policy is None:
         policy = FilterPolicy()
-    xml_policy = InlineXmlPolicy(
-        unknown_tag_action=PASSTHROUGH,
-        require_envelope=policy.require_record_envelope,
-    )
     tag_map = builtin_canonical_map()
     accepted: list[Document] = []
     report = RejectReport()
     for aid in sorted(raw):
         text = raw[aid]
         try:
-            doc = parse_inline_xml(text, xml_policy, schema=_any_schema(), doc_id=aid)
+            doc = parse_inline_xml(text, policy.require_record_envelope, doc_id=aid)
         except MissingEnvelope:
             report.rejects.append((aid, NO_ENVELOPE))
             continue
@@ -244,23 +239,9 @@ def filter_outputs(raw: dict, policy: Optional[FilterPolicy] = None,
             continue
         exemplar, _, replicate = aid.rpartition(":")
         accepted.append(doc.with_meta(exemplar=exemplar, replicate=replicate))
-    loose = Corpus(
-        documents=tuple(accepted),
-        schema=_schema_over(accepted),
-    )
-    canonical, _audit = apply_tagmap(loose, tag_map)
-    if canonical.schema.tags != schema.tags:
-        raise ValueError("filter target schema must be the canonical schema")
+    # generated tags are kept as written until the map folds them in
+    canonical, _audit = apply_tagmap(as_corpus(accepted, None), tag_map)
     return canonical, report
-
-
-def _any_schema() -> TagSchema:
-    # parsing accepts any tag; mapping happens afterwards
-    return build_schema([], name="open")
-
-
-def _schema_over(docs: list) -> TagSchema:
-    return build_schema([e.tag for d in docs for e in d.entities], name="raw-tags")
 
 
 def score_generation_quality(generated: Corpus, reference: Corpus,

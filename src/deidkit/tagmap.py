@@ -167,9 +167,16 @@ def apply_tagmap(corpus: Corpus, tag_map: TagMap) -> tuple[Corpus, MappingAudit]
 
 def load_tagmap(path) -> TagMap:
     """Read a map from JSON: either row orientation {rows: {target: [sources]}}
-    or flat {rules: {source: target}}, plus target/default and optional name
-    (the target schema's name)."""
+    or flat {rules: {source: target}} with an optional target list, plus
+    optional default and name (the target schema's name). Any other key is
+    rejected, so a misspelt "default" cannot quietly send every unlisted tag
+    to OTHERS."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    allowed = {"rows", "default", "name"} if "rows" in payload else \
+        {"rules", "target", "default", "name"}
+    extra = set(payload) - allowed
+    if extra:
+        raise ValueError(f"unknown tag map keys {sorted(extra)}; allowed: {sorted(allowed)}")
     if "rows" in payload:
         rules = _flatten_rows(payload["rows"])
         targets = list(payload["rows"])

@@ -11,13 +11,9 @@ import random
 import string
 
 from deidkit.annot_io import (
-    DEFAULT_XML_POLICY,
     ENTITY_ELEMENT,
-    MAP_TO_OTHERS,
-    REJECT,
     EmptyEntity,
     MalformedMarkup,
-    UnknownTag,
     _extract_envelope,
 )
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, tokenize
@@ -201,11 +197,11 @@ def oracle_label_tokens(doc_text: str, spans, other: str, toks=None) -> list:
 
 # --- inline XML: the character-at-a-time reference -------------------------
 
-def oracle_parse_inline_xml(raw: str, policy=DEFAULT_XML_POLICY, schema=CANONICAL_SCHEMA,
-                            doc_id: str = "doc", meta=None) -> Document:
+def oracle_parse_inline_xml(raw: str, require_envelope: bool = False,
+                            doc_id: str = "doc") -> Document:
     """Test for a marker at every offset, copy one character otherwise, and
     re-join the whole output at every close tag to cut out the surface."""
-    body = _extract_envelope(raw, policy)
+    body = _extract_envelope(raw, require_envelope)
     elem = ENTITY_ELEMENT
     open_prefix = f"<{elem}="
     close_marker = f"</{elem}>"
@@ -241,14 +237,8 @@ def oracle_parse_inline_xml(raw: str, policy=DEFAULT_XML_POLICY, schema=CANONICA
                 raise MalformedMarkup(f"stray {close_marker} at offset {i}")
             if out_len == open_start:
                 raise EmptyEntity(f"empty {elem} element ending at offset {i}")
-            tag = open_tag
-            if tag not in schema:
-                if policy.unknown_tag_action == REJECT:
-                    raise UnknownTag(f"tag {tag!r} not in schema {schema.name!r}")
-                if policy.unknown_tag_action == MAP_TO_OTHERS:
-                    tag = schema.other
             surface = "".join(out)[open_start:out_len]
-            entities.append(EntitySpan(start=open_start, end=out_len, tag=tag, surface=surface))
+            entities.append(EntitySpan(start=open_start, end=out_len, tag=open_tag, surface=surface))
             open_start = None
             i += len(close_marker)
         else:
@@ -257,7 +247,7 @@ def oracle_parse_inline_xml(raw: str, policy=DEFAULT_XML_POLICY, schema=CANONICA
             i += 1
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {elem} element (tag {open_tag!r})")
-    return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=dict(meta or {}))
+    return Document(id=doc_id, text="".join(out), entities=tuple(entities))
 
 
 # --- rule overlap resolution: the scan-everything reference ----------------

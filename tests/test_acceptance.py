@@ -356,7 +356,7 @@ def test_c10_matrix_runs_reproduce_and_suite_is_fast(verdict, tmp_path,
     matrix = {
         "train_sets": {"a": [str(paths["a"])], "b": [str(paths["b"])]},
         "test_sets": {"dev": str(paths["full"]), "holdout": str(paths["a"])},
-        "mode": "token", "seed": 0, "out_dir": str(tmp_path / "mx"),
+        "mode": "token", "out_dir": str(tmp_path / "mx"),
     }
     matrix_path = tmp_path / "matrix.json"
     matrix_path.write_text(json.dumps(matrix))

@@ -8,11 +8,9 @@ from deidkit.annot_io import (
     BadColumnCount,
     BadRecordLine,
     EmptyEntity,
-    InlineXmlPolicy,
     InvalidLabel,
     MalformedMarkup,
     MissingEnvelope,
-    STRICT_XML_POLICY,
     UnknownTag,
     parse_inline_xml,
     read_conll,
@@ -54,7 +52,7 @@ def test_envelope_optional_by_default():
 
 def test_envelope_required_when_strict():
     with pytest.raises(MissingEnvelope):
-        parse_inline_xml("No markup.", policy=STRICT_XML_POLICY)
+        parse_inline_xml("No markup.", require_envelope=True)
 
 
 def test_text_outside_envelope_dropped():
@@ -80,14 +78,16 @@ def test_empty_entity_rejected():
         parse_inline_xml("<RECORD><TYPE='ID'></TYPE></RECORD>")
 
 
-def test_unknown_tag_actions():
+def test_unknown_tag_actions(tmp_path):
     raw = "<RECORD><TYPE='Blood_Group'>B+</TYPE></RECORD>"
-    with pytest.raises(UnknownTag):
-        parse_inline_xml(raw)
-    doc = parse_inline_xml(raw, policy=InlineXmlPolicy(unknown_tag_action="map_to_others"))
-    assert doc.entities[0].tag == "OTHERS"
-    doc = parse_inline_xml(raw, policy=InlineXmlPolicy(unknown_tag_action="passthrough"))
-    assert doc.entities[0].tag == "Blood_Group"
+    assert parse_inline_xml(raw).entities[0].tag == "Blood_Group"
+    path = tmp_path / "note.xml"
+    path.write_text(raw)
+    with pytest.raises(UnknownTag, match="'Blood_Group' not in schema 'canonical-9'"):
+        read_corpus(path)
+    corpus = read_corpus(path, schema=None)
+    assert corpus.documents[0].entities[0].tag == "Blood_Group"
+    assert corpus.schema.tags == ("Blood_Group", "OTHERS")
 
 
 def test_write_inline_xml_round_trip(sample_doc):
@@ -236,14 +236,11 @@ def test_parse_inline_xml_matches_char_oracle(seed):
     raw = write_inline_xml(random_doc(rng, "doc-0", max_tokens=30))
     for _ in range(rng.choice([0, 1, 1, 2, 3])):
         raw = _mutate(raw, rng)
-    policy = InlineXmlPolicy(
-        unknown_tag_action=rng.choice(["reject", "map_to_others", "passthrough"]),
-        require_envelope=rng.random() < 0.3,
-    )
+    require_envelope = rng.random() < 0.3
 
     def outcome(parse):
         try:
-            return parse(raw, policy, CANONICAL_SCHEMA, doc_id="doc-0", meta={"k": "v"})
+            return parse(raw, require_envelope, doc_id="doc-0")
         except Exception as exc:  # compared by class and message
             return type(exc), str(exc)
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import sys
 
 import pytest
 
 from deidkit import recognize
-from deidkit.annot_io import read_corpus, read_jsonl, write_corpus, write_jsonl
+from deidkit.annot_io import as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl
 from deidkit.cli import ConfigError, PipelineConfig, main
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
 
@@ -55,6 +56,48 @@ def test_map_tags_with_audit(tmp_path):
     report = json.loads(audit.read_text())
     assert report["total"] == 2
     assert report["unmapped"] == {"Blood_Group": 1}
+
+
+SOURCE_TAGS = {"PATIENT": "Patient_Name", "AGE": "Age", "DATE": "Treatment_Date",
+               "HOSPITAL": "Hospital_Name", "ID": "Patient_ID", "CONTACT": "Phone_No",
+               "DOCTOR": "Doctor_Name", "LOCATION": "Native_Place"}
+
+
+def _tree_bytes(path):
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
+
+
+def test_schema_infer_reads_back_source_tags_in_every_format(tmp_path, sample_corpus):
+    # source tags survive convert --schema infer into XML and CoNLL, and
+    # map-tags then reads each of those as it reads the JSONL
+    def relabel(doc):
+        return dataclasses.replace(doc, entities=tuple(
+            dataclasses.replace(e, tag=SOURCE_TAGS[e.tag]) for e in doc.entities))
+
+    for docs, name in ((sample_corpus.documents, "records"),
+                       (sample_corpus.documents[:1], "one.xml"),
+                       (sample_corpus.documents, "c.conll")):
+        src = tmp_path / f"src-{name}.jsonl"
+        src.write_text(write_jsonl(as_corpus([relabel(d) for d in docs], None)))
+        converted = tmp_path / name
+        assert run("convert", "--schema", "infer", "--in", src, "--out", converted) == 0
+        want, got = tmp_path / f"want-{name}", tmp_path / f"got-{name}"
+        assert run("map-tags", "--in", src, "--out", want) == 0
+        assert run("map-tags", "--in", converted, "--out", got) == 0
+        assert _tree_bytes(got) == _tree_bytes(want)
+    stats = tmp_path / "stats.json"
+    assert run("stats", "--in", tmp_path / "records", "--out", stats) == 0
+    assert json.loads(stats.read_text())["tag_distribution"]["Patient_Name"]["entities"] == 1
+
+
+def test_map_tags_rejects_misspelt_map_key(tmp_path, corpus_path, caplog):
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps({"rows": {"DATE": ["Visit_Date"]}, "defualt": "DATE"}))
+    assert run("map-tags", "--in", corpus_path, "--out", tmp_path / "o.jsonl",
+               "--map", bad) == 1
+    assert "'defualt'" in caplog.text
 
 
 def test_map_tags_commercial(tmp_path, corpus_path):
@@ -201,7 +244,7 @@ def test_run_matrix_reports_byte_identical(tmp_path, corpus_path):
     matrix = {
         "train_sets": {"real": [str(corpus_path)]},
         "test_sets": {"dev": str(corpus_path), "holdout": str(corpus_path)},
-        "mode": "token", "seed": 0, "out_dir": str(tmp_path / "mx"),
+        "mode": "token", "out_dir": str(tmp_path / "mx"),
     }
     matrix_path = tmp_path / "matrix.json"
     matrix_path.write_text(json.dumps(matrix))
@@ -255,6 +298,32 @@ def test_run_matrix_rejects_unknown_keys(tmp_path, corpus_path):
         "train_sets": {}, "test_sets": {}, "gpu": True,
     }))
     assert run("run-matrix", matrix_path) == 1
+
+
+def test_run_matrix_rejects_seed(tmp_path, caplog):
+    # nothing in a matrix run takes a seed, so the key is not accepted
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({"train_sets": {}, "test_sets": {}, "seed": 0}))
+    assert run("run-matrix", matrix_path) == 1
+    assert "'seed'" in caplog.text
+
+
+def test_run_matrix_unions_conll_files(tmp_path, corpus_path):
+    # read_conll numbers documents doc-0, doc-1, ... in every file
+    a, b = tmp_path / "a.conll", tmp_path / "b.conll"
+    for path in (a, b):
+        assert run("convert", "--in", corpus_path, "--out", path) == 0
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({
+        "train_sets": {"ab": [str(a), str(b)]},
+        "test_sets": {"ab": [str(a), str(b)]},
+        "out_dir": str(tmp_path / "mx"),
+    }))
+    assert run("run-matrix", matrix_path) == 0
+    train = tmp_path / "mx" / "train" / "ab.conll"
+    assert train.read_text() == a.read_text() + "\n" + b.read_text()
+    report = json.loads((tmp_path / "mx" / "reports" / "ab__ab.json").read_text())
+    assert "seed" not in report
 
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path):

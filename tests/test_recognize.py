@@ -379,11 +379,3 @@ def test_recognize_corpus_builtin_never_excludes(note_corpus):
     result = recognize_corpus(note_corpus, backend)
     assert result.excluded == []
     assert len(result.predictions) == len(note_corpus)
-    assert result.predictions[0].backend_name == "rules"
-
-
-def test_backend_label():
-    assert RecognizerBackend(kind=BUILTIN_RULES).label == BUILTIN_RULES
-    assert RecognizerBackend(kind=BUILTIN_RULES, name="rules").label == "rules"
-    b = RecognizerBackend(kind=EXTERNAL, endpoint="http://x/")
-    assert b.label == "http://x/"

@@ -179,6 +179,17 @@ def test_load_tagmap_flat_rules(tmp_path):
     assert tm.map_tag("Unknown") == ("OTHERS", False)
 
 
+def test_load_tagmap_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"rows": {"DATE": ["Visit_Date"]}, "defualt": "DATE"}))
+    with pytest.raises(ValueError, match="'defualt'"):
+        load_tagmap(path)
+    # target belongs to the flat form; beside rows it would be ignored
+    path.write_text(json.dumps({"rows": {"DATE": ["Visit_Date"]}, "target": ["DATE"]}))
+    with pytest.raises(ValueError, match="'target'"):
+        load_tagmap(path)
+
+
 def test_tagmap_rejects_target_outside_schema():
     with pytest.raises(ValueError):
         TagMap(target_schema=CANONICAL_SCHEMA, rules={"x": "NAME"}, default="OTHERS")
