@@ -290,9 +290,11 @@ def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
     With schema=None the schema is inferred from the observed tags."""
     p = Path(path)
     if p.is_dir():
+        files = sorted(p.glob("*.xml"))
+        if not files:
+            raise DeidError(f"no .xml files in directory {p}")
         return as_corpus(
-            (parse_inline_xml(f.read_text(encoding="utf-8"), doc_id=f.stem)
-             for f in sorted(p.glob("*.xml"))),
+            (parse_inline_xml(f.read_text(encoding="utf-8"), doc_id=f.stem) for f in files),
             schema,
         )
     raw = p.read_text(encoding="utf-8")

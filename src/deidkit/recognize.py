@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import re
+import select
 import shlex
 import subprocess
-import threading
 import time
-import urllib.error
 import urllib.request
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -194,121 +194,123 @@ class ExternalRunResult:
         return {p.doc_id: list(p.spans) for p in self.predictions}
 
 
-class _HttpWire:
-    def __init__(self, endpoint: str, timeout_ms: int) -> None:
+class _Wire:
+    """`send(payload)` queues a request; `receive(timeout)` waits at most
+    `timeout` seconds (none if it is not positive) and returns the replies
+    that arrived, as (request id, reply) pairs. A reply is decoded JSON, or
+    the ProtocolViolation that ended one HTTP request."""
+
+    def request(self, payload: dict):
+        """One round trip; replies to any other id are dropped."""
+        self.send(payload)
+        deadline = time.monotonic() + self.timeout_s
+        while (remaining := deadline - time.monotonic()) > 0:
+            for rid, resp in self.receive(remaining):
+                if rid == payload["id"]:
+                    if isinstance(resp, ProtocolViolation):
+                        raise resp
+                    return resp
+        raise BackendTimeout(f"no response for {payload['id']!r}")
+
+
+class _HttpWire(_Wire):
+    """urllib blocks, so each request runs on a worker of its own, at most
+    `max_in_flight` at once."""
+
+    def __init__(self, endpoint: str, timeout_ms: int, max_in_flight: int) -> None:
         self.endpoint = endpoint
         self.timeout_s = timeout_ms / 1000.0
+        self._pool = ThreadPoolExecutor(max_workers=max_in_flight)
+        self._calls: set = set()
 
-    def request(self, payload: dict) -> dict:
+    def send(self, payload: dict) -> None:
+        self._calls.add(self._pool.submit(self._post, payload))
+
+    def receive(self, timeout: float) -> list:
+        done, self._calls = wait(self._calls, timeout, return_when=FIRST_COMPLETED)
+        return [reply for call in done if (reply := call.result()) is not None]
+
+    def _post(self, payload: dict):
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        req = urllib.request.Request(
-            self.endpoint, data=body, headers={"Content-Type": "application/json"}
-        )
+        req = urllib.request.Request(self.endpoint, data=body,
+                                     headers={"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except TimeoutError as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise BackendTimeout(str(exc)) from exc
-            raise ProtocolViolation(f"http error: {exc}") from exc
+                return payload["id"], json.loads(resp.read().decode("utf-8"))
         except json.JSONDecodeError as exc:
-            raise ProtocolViolation(f"undecodable response: {exc}") from exc
+            return payload["id"], ProtocolViolation(f"undecodable response: {exc}")
         except (http.client.HTTPException, OSError) as exc:
-            # a connection closed without a reply (RemoteDisconnected) or
-            # reset mid-read; urllib wraps neither in URLError
-            raise ProtocolViolation(f"http error: {exc}") from exc
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                return None  # the caller's clock, started at send, decides
+            # URLError, or a close or reset mid-reply that urllib leaves unwrapped
+            return payload["id"], ProtocolViolation(f"http error: {exc}")
 
     def close(self) -> None:
-        pass
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-class _SubprocessWire:
-    """One long-lived child process; requests go down stdin, responses come
-    back on stdout in any order and are joined by id. A reply no request is
-    waiting for (late, or undecodable) is dropped; once the child's stdout
-    closes, every waiting and later request fails at once."""
+class _SubprocessWire(_Wire):
+    """One long-lived child process, driven from the calling thread through
+    non-blocking pipes: `receive` writes queued request lines as stdin takes
+    them while it waits for reply lines on stdout, in any order. A line that
+    is not a JSON object with a string or integer id is dropped; once stdout
+    closes, `receive` raises ProtocolViolation."""
 
     def __init__(self, command: str, timeout_ms: int) -> None:
         self.timeout_s = timeout_ms / 1000.0
-        self.proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-        self._responses: dict = {}  # id -> reply; None while a request waits
-        self._dead = False
-        self._cond = threading.Condition()
-        self._write_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        self.proc = subprocess.Popen(shlex.split(command), stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, bufsize=0)
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            os.set_blocking(pipe.fileno(), False)
+        self._unsent = bytearray()
+        self._held = b""  # the start of a reply line whose newline has not come
 
-    def _read_loop(self) -> None:
-        try:
-            for line in self.proc.stdout:
-                try:
-                    resp = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                rid = resp.get("id") if isinstance(resp, dict) else None
-                with self._cond:
-                    # a JSON list or object as id is unhashable, never a request id
-                    if isinstance(rid, (str, int)) and rid in self._responses:
-                        self._responses[rid] = resp
-                        self._cond.notify_all()
-        finally:
-            with self._cond:
-                self._dead = True
-                self._cond.notify_all()
+    def send(self, payload: dict) -> None:
+        self._unsent += json.dumps(payload, ensure_ascii=False).encode("utf-8") + b"\n"
 
-    def request(self, payload: dict) -> dict:
-        rid = payload["id"]
-        line = json.dumps(payload, ensure_ascii=False) + "\n"
-        with self._cond:
-            if self._dead:
-                raise ProtocolViolation("backend process exited")
-            self._responses[rid] = None
-        try:
-            with self._write_lock:
-                self.proc.stdin.write(line)
-                self.proc.stdin.flush()
-            deadline = time.monotonic() + self.timeout_s
-            with self._cond:
-                while self._responses[rid] is None:
-                    if self._dead:
-                        raise ProtocolViolation("backend process exited")
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise BackendTimeout(f"no response for {rid!r}")
-                    self._cond.wait(remaining)
-                return self._responses[rid]
-        except OSError as exc:
-            raise ProtocolViolation("backend process exited") from exc
-        finally:
-            with self._cond:
-                self._responses.pop(rid, None)
+    def receive(self, timeout: float) -> list:
+        deadline = time.monotonic() + timeout
+        replies: list = []
+        while not replies:
+            if self._unsent:
+                try:  # a non-blocking write takes what fits, None if nothing does
+                    del self._unsent[:self.proc.stdin.write(self._unsent) or 0]
+                except BrokenPipeError:  # the child stopped reading; stdout says if it lives
+                    self._unsent.clear()
+            readable, writable, _ = select.select(
+                (self.proc.stdout,), (self.proc.stdin,) if self._unsent else (), (),
+                max(deadline - time.monotonic(), 0))
+            if readable:
+                chunk = self.proc.stdout.read(1 << 16)
+                if not chunk:
+                    raise ProtocolViolation("backend process exited")
+                *lines, self._held = (self._held + chunk).split(b"\n")
+                for line in lines:
+                    try:
+                        resp = json.loads(line)
+                    except ValueError:  # not JSON, or not UTF-8
+                        continue
+                    rid = resp.get("id") if isinstance(resp, dict) else None
+                    if isinstance(rid, (str, int)):  # a list or object is no request's id
+                        replies.append((rid, resp))
+            elif not writable:
+                break
+        return replies
 
     def close(self) -> None:
-        try:
-            self.proc.stdin.close()
-        except OSError:
-            pass  # the child is gone; its unread input goes with it
+        self.proc.stdin.close()  # unbuffered: nothing left to flush into a dead pipe
         self.proc.terminate()
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self._reader.join(timeout=5)
         self.proc.stdout.close()
 
 
-def open_wire(backend: RecognizerBackend):
+def open_wire(backend: RecognizerBackend) -> _Wire:
     if backend.endpoint.startswith(("http://", "https://")):
-        return _HttpWire(backend.endpoint, backend.timeout_ms)
+        return _HttpWire(backend.endpoint, backend.timeout_ms, backend.max_in_flight)
     return _SubprocessWire(backend.endpoint, backend.timeout_ms)
 
 
@@ -364,40 +366,58 @@ def _parse_response(doc: Document, resp: dict, schema: TagSchema) -> tuple:
 
 def _call_each(wire, items: list, payload_of, parse, backend: RecognizerBackend):
     """Send one request per item over `wire`, at most `backend.max_in_flight`
-    at a time, then close the wire. A timeout is retried `backend.retry`
-    times; an error reply, a reply for another id, or a ProtocolViolation or
-    SpanOutOfRange from `parse(item, reply)` excludes the item with a reason.
+    outstanding at a time, then close the wire. Replies are joined to
+    requests by id; a late or unknown reply is dropped. A request times out
+    `backend.timeout_ms` after it was queued and is re-sent up to
+    `backend.retry` times. An error reply, a reply for another id, or a
+    ProtocolViolation or SpanOutOfRange from `parse(item, reply)` excludes
+    the item with a reason; a dead backend excludes every item still open.
     Returns (outcomes, retries): one (value, reason, latency_ms) per item in
     input order, value None exactly when reason is set."""
-    retries = 0
-    lock = threading.Lock()
-
-    def run_one(item):
-        nonlocal retries
-        payload = payload_of(item)
-        t0 = time.monotonic()
-        last_exc: Optional[Exception] = None
-        for attempt in range(backend.retry + 1):
-            if attempt:
-                with lock:
-                    retries += 1
-            try:
-                resp = wire.request(payload)
-                if not isinstance(resp, dict) or resp.get("id") != payload["id"]:
-                    raise ProtocolViolation(f"response id mismatch for {payload['id']!r}")
-                if "error" in resp:
-                    raise ProtocolViolation(f"backend_error: {resp['error']}")
-                value = parse(item, resp)
-                return value, None, (time.monotonic() - t0) * 1000.0
-            except BackendTimeout as exc:
-                last_exc = exc
-            except (SpanOutOfRange, ProtocolViolation) as exc:
-                return None, f"{type(exc).__name__}: {exc}", 0.0
-        return None, f"BackendTimeout: {last_exc}", 0.0
-
+    timeout_s = backend.timeout_ms / 1000.0
+    outcomes: list = [None] * len(items)
+    # id -> [item index, payload, first sent, deadline, retries left], in send
+    # order: deadlines are set when a request is sent, so the first ends first
+    waiting: dict = {}
+    retries = queued = 0
     try:
-        with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
-            outcomes = list(pool.map(run_one, items))
+        while queued < len(items) or waiting:
+            while queued < len(items) and len(waiting) < backend.max_in_flight:
+                payload = payload_of(items[queued])
+                if payload["id"] in waiting:
+                    break  # a repeated id waits until the first is answered
+                wire.send(payload)
+                now = time.monotonic()
+                waiting[payload["id"]] = [queued, payload, now, now + timeout_s, backend.retry]
+                queued += 1
+            try:
+                replies = wire.receive(next(iter(waiting.values()))[3] - time.monotonic())
+            except ProtocolViolation as exc:
+                outcomes = [o or (None, f"ProtocolViolation: {exc}", 0.0) for o in outcomes]
+                break
+            now = time.monotonic()
+            for rid, resp in replies:
+                if rid not in waiting:
+                    continue  # late, or never asked for
+                index, _, sent, _, _ = waiting.pop(rid)
+                try:
+                    if isinstance(resp, ProtocolViolation):
+                        raise resp
+                    if not isinstance(resp, dict) or resp.get("id") != rid:
+                        raise ProtocolViolation(f"response id mismatch for {rid!r}")
+                    if "error" in resp:
+                        raise ProtocolViolation(f"backend_error: {resp['error']}")
+                    outcomes[index] = (parse(items[index], resp), None, (now - sent) * 1000.0)
+                except (SpanOutOfRange, ProtocolViolation) as exc:
+                    outcomes[index] = (None, f"{type(exc).__name__}: {exc}", 0.0)
+            for rid in [rid for rid, entry in waiting.items() if entry[3] <= now]:
+                index, payload, sent, _, left = waiting.pop(rid)
+                if left:
+                    retries += 1
+                    wire.send(payload)
+                    waiting[rid] = [index, payload, sent, now + timeout_s, left - 1]
+                else:
+                    outcomes[index] = (None, f"BackendTimeout: no response for {rid!r}", 0.0)
     finally:
         wire.close()
     return outcomes, retries

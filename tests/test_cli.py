@@ -34,6 +34,15 @@ def test_convert_missing_input_is_io_error(tmp_path):
                "--out", tmp_path / "o.jsonl") == 2
 
 
+def test_convert_directory_without_xml_exits_one(tmp_path, corpus_path):
+    src = tmp_path / "demo"
+    src.mkdir()
+    (src / "gold.jsonl").write_text(corpus_path.read_text())
+    out = tmp_path / "x.jsonl"
+    assert run("convert", "--in", src, "--out", out) == 1
+    assert not out.exists()
+
+
 def test_bad_flags_exit_one(capsys):
     assert run("convert", "--in-only-half") == 1
     assert run("not-a-command") == 1

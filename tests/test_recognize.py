@@ -292,7 +292,7 @@ def test_subprocess_wire_drops_late_replies_and_closes_stdout(mock_cmd, tmp_path
         time.sleep(1.0)  # the late reply lands while no request waits for it
         assert wire.request({"id": "next", "text": "x", "schema": []}) == {
             "id": "next", "spans": []}
-        assert wire._responses == {}
+        assert wire.receive(0) == [] and wire._held == b""  # no reply held
     finally:
         wire.close()
     assert wire.proc.stdout.closed
@@ -303,9 +303,64 @@ def test_subprocess_wire_drops_undecodable_lines():
     try:
         with pytest.raises(ProtocolViolation):
             wire.request({"id": "a", "text": "x", "schema": []})
-        assert wire._responses == {}
+        assert wire._held == b""  # no reply held
     finally:
         wire.close()
+
+
+def test_backend_that_never_reads_times_out():
+    # 120,000-char requests fill the pipe: the clock must run while they wait
+    docs = [Document(id=f"big-{i}", text="x" * 120_000, entities=()) for i in range(3)]
+    backend = RecognizerBackend(kind=EXTERNAL,
+                                endpoint=f"{sys.executable} -c \"import time; time.sleep(8)\"",
+                                timeout_ms=1000, max_in_flight=2)
+    t0 = time.monotonic()
+    result = recognize_external(docs, backend)
+    assert time.monotonic() - t0 < 3.0
+    assert result.predictions == []
+    assert [doc_id for doc_id, _ in result.excluded] == [d.id for d in docs]
+    assert all(r.startswith("BackendTimeout: ") for _, r in result.excluded)
+
+
+# Holds requests until `cap` (or all that remain) are unanswered and no more
+# arrive for 50 ms, then answers them in reverse order: one span per request,
+# as long as its text. Holding more than `cap` turns every answer into an error.
+HOLDING_BACKEND = """
+import json, os, select, sys
+cap, total = int(sys.argv[1]), int(sys.argv[2])
+rest, held, answered = b"", [], 0
+while answered < total:
+    full = len(held) >= min(cap, total - answered)
+    if select.select([0], [], [], 0.05 if full else None)[0]:
+        chunk = os.read(0, 1 << 16)
+        if not chunk:
+            break
+        *lines, rest = (rest + chunk).split(b"\\n")
+        held += [json.loads(line) for line in lines if line.strip()]
+        continue
+    for req in reversed(held):
+        if len(held) > cap:
+            reply = {"id": req["id"], "error": f"{len(held)} held, cap {cap}"}
+        else:
+            reply = {"id": req["id"], "spans": [{"start": 0, "end": len(req["text"]), "tag": "ID"}]}
+        sys.stdout.write(json.dumps(reply) + "\\n")
+    sys.stdout.flush()
+    answered, held = answered + len(held), []
+"""
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_replies_out_of_order_join_in_input_order_within_cap(tmp_path, cap):
+    docs = [Document(id=f"doc-{i}", text="x" * (i + 1), entities=()) for i in range(7)]
+    script = tmp_path / "holding.py"
+    script.write_text(HOLDING_BACKEND)
+    backend = RecognizerBackend(kind=EXTERNAL,
+                                endpoint=f"{sys.executable} {script} {cap} {len(docs)}",
+                                timeout_ms=10_000, max_in_flight=cap)
+    result = recognize_external(docs, backend)
+    assert result.excluded == []
+    assert [p.doc_id for p in result.predictions] == [d.id for d in docs]
+    assert [p.spans[0].end for p in result.predictions] == [len(d.text) for d in docs]
 
 
 def test_http_round_trip(mock_cmd, tmp_path, note_corpus):
@@ -372,6 +427,20 @@ def test_http_dropped_connection_excludes_document(tmp_path, note_corpus):
     assert [p.doc_id for p in result.predictions] == ["doc-0", "doc-2"]
     assert [doc_id for doc_id, _ in result.excluded] == ["doc-1"]
     assert result.excluded[0][1].startswith("ProtocolViolation: http error")
+
+
+def test_http_requests_run_concurrently(tmp_path, note_corpus):
+    docs = note_corpus.documents[:4]
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({d.id: "sleep_once:1000" for d in docs}))
+    with http_mock("--script", str(script)) as url:
+        backend = RecognizerBackend(kind=EXTERNAL, endpoint=url, timeout_ms=5000,
+                                    max_in_flight=4)
+        t0 = time.monotonic()
+        result = recognize_external(docs, backend)
+        elapsed = time.monotonic() - t0
+    assert [p.doc_id for p in result.predictions] == [d.id for d in docs]
+    assert elapsed < 2.5  # one after another would take 4 s
 
 
 def test_recognize_corpus_builtin_never_excludes(note_corpus):
