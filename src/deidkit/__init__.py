@@ -3,166 +3,38 @@
 Corpus model and format round-trips, tag-schema mapping, deterministic
 surrogate generation, rule and service-backed PHI recognition, evaluation
 metrics, corpus statistics, and synthetic summary generation.
+
+Public names load on first use (PEP 562), so importing one submodule, such
+as the mock backend, does not import the others or numpy.
 """
 
-from .core import (
-    CANONICAL_SCHEMA,
-    CANONICAL_TAGS,
-    Corpus,
-    DeidError,
-    Document,
-    EntitySpan,
-    TagSchema,
-    Token,
-    TokenSeq,
-    bio_to_spans,
-    build_schema,
-    spans_to_bio,
-    tokenize,
-)
-from .annot_io import (
-    parse_inline_xml,
-    read_conll,
-    read_corpus,
-    read_jsonl,
-    write_conll,
-    write_corpus,
-    write_inline_xml,
-    write_jsonl,
-)
-from .tagmap import (
-    COMMERCIAL_SCHEMA,
-    MappingAudit,
-    NormalizationPolicy,
-    TagMap,
-    apply_tagmap,
-    builtin_canonical_map,
-    commercial_comparison_map,
-    normalize_tag,
-    tag_distribution,
-)
-from .surrogate import (
-    AGE_JITTER,
-    AGE_PRESERVE,
-    REDACT,
-    SURROGATE,
-    SurrogateConfig,
-    SurrogatePlan,
-    apply_surrogates,
-    plan_surrogates,
-    scrub,
-    scrub_corpus,
-    shift_date_text,
-)
-from .recognize import (
-    RecognizerBackend,
-    Rulebook,
-    recognize_corpus,
-    recognize_external,
-    recognize_rules,
-)
-from .evalmetrics import (
-    ENTITY_STRICT,
-    TOKEN,
-    AgreementReport,
-    ConfusionMatrix,
-    MetricsReport,
-    cohens_kappa,
-    evaluate,
-    review_metrics_from_counts,
-)
-from .corpusstats import (
-    CorpusSummary,
-    bertscore_greedy,
-    class_weights,
-    jaccard_distance,
-    ngram_profile,
-    split,
-    summarize,
-    tag_weight,
-)
-from .syngen import (
-    FilterPolicy,
-    GenerationJob,
-    PromptTemplate,
-    filter_outputs,
-    generate,
-    load_template,
-    run_generation_job,
-    score_generation_quality,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AGE_JITTER",
-    "AGE_PRESERVE",
-    "CANONICAL_SCHEMA",
-    "CANONICAL_TAGS",
-    "COMMERCIAL_SCHEMA",
-    "ENTITY_STRICT",
-    "REDACT",
-    "SURROGATE",
-    "TOKEN",
-    "AgreementReport",
-    "ConfusionMatrix",
-    "Corpus",
-    "CorpusSummary",
-    "DeidError",
-    "Document",
-    "EntitySpan",
-    "FilterPolicy",
-    "GenerationJob",
-    "MappingAudit",
-    "MetricsReport",
-    "NormalizationPolicy",
-    "PromptTemplate",
-    "RecognizerBackend",
-    "Rulebook",
-    "SurrogateConfig",
-    "SurrogatePlan",
-    "TagMap",
-    "TagSchema",
-    "Token",
-    "TokenSeq",
-    "apply_surrogates",
-    "apply_tagmap",
-    "bertscore_greedy",
-    "bio_to_spans",
-    "builtin_canonical_map",
-    "build_schema",
-    "class_weights",
-    "cohens_kappa",
-    "commercial_comparison_map",
-    "evaluate",
-    "filter_outputs",
-    "generate",
-    "jaccard_distance",
-    "load_template",
-    "ngram_profile",
-    "normalize_tag",
-    "parse_inline_xml",
-    "plan_surrogates",
-    "read_conll",
-    "read_corpus",
-    "read_jsonl",
-    "recognize_corpus",
-    "recognize_external",
-    "recognize_rules",
-    "review_metrics_from_counts",
-    "run_generation_job",
-    "score_generation_quality",
-    "scrub",
-    "scrub_corpus",
-    "shift_date_text",
-    "spans_to_bio",
-    "split",
-    "summarize",
-    "tag_distribution",
-    "tag_weight",
-    "tokenize",
-    "write_conll",
-    "write_corpus",
-    "write_inline_xml",
-    "write_jsonl",
-]
+_MODULE_OF = {name: module for module, names in {
+    "core": "CANONICAL_SCHEMA CANONICAL_TAGS Corpus DeidError Document EntitySpan TagSchema "
+            "Token TokenSeq bio_to_spans build_schema spans_to_bio tokenize",
+    "annot_io": "parse_inline_xml read_conll read_corpus read_jsonl write_conll write_corpus "
+                "write_inline_xml write_jsonl",
+    "tagmap": "COMMERCIAL_SCHEMA MappingAudit NormalizationPolicy TagMap apply_tagmap "
+              "builtin_canonical_map commercial_comparison_map normalize_tag tag_distribution",
+    "surrogate": "AGE_JITTER AGE_PRESERVE REDACT SURROGATE SurrogateConfig SurrogatePlan "
+                 "apply_surrogates plan_surrogates scrub scrub_corpus shift_date_text",
+    "recognize": "RecognizerBackend Rulebook recognize_corpus recognize_external recognize_rules",
+    "evalmetrics": "ENTITY_STRICT TOKEN AgreementReport ConfusionMatrix MetricsReport "
+                   "cohens_kappa evaluate review_metrics_from_counts",
+    "corpusstats": "CorpusSummary bertscore_greedy class_weights jaccard_distance ngram_profile "
+                   "split summarize tag_weight",
+    "syngen": "FilterPolicy GenerationJob PromptTemplate filter_outputs generate load_template "
+              "run_generation_job score_generation_quality",
+}.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -52,7 +52,8 @@ class BadColumnCount(DeidError):
 
 
 class BadRecordLine(DeidError):
-    """A JSONL line that cannot be decoded or is missing fields."""
+    """A JSONL line that cannot be decoded, is not an object, or has a
+    missing or mistyped field."""
 
 
 class InvalidLabel(DeidError):
@@ -231,9 +232,13 @@ def document_to_record(doc: Document) -> dict:
 
 def document_from_record(rec: dict, lineno: int = 0) -> Document:
     where = f"line {lineno}: " if lineno else ""
+    if not isinstance(rec, dict):
+        raise BadRecordLine(f"{where}expected a JSON object, got {type(rec).__name__}")
     for field_name in ("id", "text"):
         if field_name not in rec:
             raise BadRecordLine(f"{where}missing field {field_name!r}")
+        if not isinstance(rec[field_name], str):
+            raise BadRecordLine(f"{where}field {field_name!r} is not a string")
     try:
         entities = tuple(
             EntitySpan(
@@ -244,6 +249,8 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
             )
             for e in rec.get("entities", [])
         )
+        if not all(isinstance(e.tag, str) for e in entities):
+            raise BadRecordLine(f"{where}entity tag is not a string")
         return Document(
             id=rec["id"], text=rec["text"], entities=entities, meta=dict(rec.get("meta", {}))
         )

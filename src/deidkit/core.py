@@ -94,9 +94,6 @@ class EntitySpan:
         if not self.surface:
             raise ValueError("span surface must be non-empty")
 
-    def overlaps(self, other: "EntitySpan") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class Document:
@@ -382,12 +379,3 @@ def build_schema(tags: Iterable[str], name: str = "inferred", other: str = "OTHE
     if other not in ordered:
         ordered.append(other)
     return TagSchema(name=name, tags=tuple(ordered), other=other)
-
-
-def token_aligned(doc: Document, toks: Optional[TokenSeq] = None) -> bool:
-    """True when every entity boundary coincides with token boundaries."""
-    try:
-        spans_to_bio(doc, toks)
-    except EntityTokenMisalignment:
-        return False
-    return True

@@ -17,13 +17,12 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Corpus, DeidError, first_overlaps, tokenize
 from .evalmetrics import label_tokens
-from .recognize import open_wire
 
 logger = logging.getLogger("deidkit.corpusstats")
 
@@ -244,31 +243,6 @@ def hash_embedding(tokens: Sequence[str], dim: int = 32) -> np.ndarray:
     if not tokens:
         return np.zeros((0, dim))
     return np.asarray([hash_vector(t, dim) for t in tokens], dtype=float)
-
-
-class EmbeddingClient:
-    """Wire-protocol embeddings: {"id", "tokens"} -> {"id", "vectors"}."""
-
-    def __init__(self, backend) -> None:
-        self._wire = open_wire(backend)
-        self._n = 0
-
-    def embed(self, tokens: Sequence[str]) -> np.ndarray:
-        self._n += 1
-        resp = self._wire.request({"id": f"embed-{self._n}", "tokens": list(tokens)})
-        return np.asarray(resp["vectors"], dtype=float)
-
-    def close(self) -> None:
-        self._wire.close()
-
-    def __enter__(self) -> "EmbeddingClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-Embedder = Callable[[Sequence[str]], np.ndarray]
 
 
 # --- class weights ---------------------------------------------------------

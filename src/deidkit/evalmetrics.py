@@ -58,15 +58,6 @@ class ConfusionMatrix:
     def get(self, gold: str, pred: str) -> int:
         return self.counts[self._index[gold]][self._index[pred]]
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.labels != self.labels:
-            raise SchemaMismatch("cannot merge matrices with different labels")
-        merged = ConfusionMatrix(labels=self.labels)
-        for i in range(len(self.labels)):
-            for j in range(len(self.labels)):
-                merged.counts[i][j] = self.counts[i][j] + other.counts[i][j]
-        return merged
-
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
@@ -267,20 +258,6 @@ def review_metrics_from_counts(tp: int, fp: int, fn: int) -> dict:
     precision, recall, f1 = _prf(tp, fp, fn)
     return {"tp": tp, "fp": fp, "fn": fn,
             "precision": precision, "recall": recall, "f1": f1}
-
-
-def binary_review_metrics(gold: Sequence, assigned: Sequence,
-                          positive="real") -> dict:
-    """Precision/recall/F1 of a reviewer's real-vs-synthetic calls, with
-    `positive` as the positive class."""
-    if len(gold) != len(assigned):
-        raise LengthMismatch(f"{len(gold)} vs {len(assigned)} labels")
-    if not gold:
-        raise EmptyInput("no review labels")
-    tp = sum(1 for g, a in zip(gold, assigned) if g == positive and a == positive)
-    fp = sum(1 for g, a in zip(gold, assigned) if g != positive and a == positive)
-    fn = sum(1 for g, a in zip(gold, assigned) if g == positive and a != positive)
-    return review_metrics_from_counts(tp, fp, fn)
 
 
 def format_report(report: MetricsReport, matrix: Optional[ConfusionMatrix] = None) -> str:

@@ -1,9 +1,8 @@
 """Deterministic wire-protocol backend for tests and demos.
 
-Speaks all three request shapes over stdio lines or HTTP POST:
+Speaks both request shapes over stdio lines or HTTP POST:
 
     {"id", "text", "schema"}        -> recognize: spans/tokens/error
-    {"id", "tokens"}                -> embed: unit vectors per token
     {"id", "prompt", "temperature"} -> generate: synthetic summary text
 
 Behavior per request id comes from a JSON script file {id: behavior};
@@ -11,7 +10,7 @@ unlisted ids get the default behavior. Everything is a pure function of
 (request, script, seed, gold file), so test runs are reproducible.
 
 Run as: python -m deidkit.mock_backend [--script f.json] [--gold g.jsonl]
-        [--seed N] [--dim D] [--http PORT]
+        [--seed N] [--http PORT]
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import os
 import sys
 import threading
 import time
-
-from .corpusstats import hash_vector
 
 # recognize behaviors: echo | empty | oversize | overlap | token_form |
 #   error | drop | drop_once | sleep_once:<ms>
@@ -98,11 +95,10 @@ def synth_summary(request_id: str, seed: int) -> str:
 
 
 class MockBackend:
-    def __init__(self, script=None, gold=None, seed: int = 0, dim: int = 8) -> None:
+    def __init__(self, script=None, gold=None, seed: int = 0) -> None:
         self.script = dict(script or {})
         self.gold = dict(gold or {})  # doc id -> list of span dicts
         self.seed = seed
-        self.dim = dim
         self._seen: dict = {}
         self._lock = threading.Lock()
 
@@ -143,10 +139,6 @@ class MockBackend:
                             "</RECORD>",
                 }
             return {"id": request_id, "text": synth_summary(request_id, self.seed)}
-
-        if "tokens" in req:
-            vectors = [hash_vector(t, self.dim) for t in req["tokens"]]
-            return {"id": request_id, "vectors": vectors}
 
         text = req.get("text", "")
         behavior = self._behavior(request_id, "echo" if self.gold else "empty")
@@ -249,7 +241,6 @@ def main(argv=None) -> int:
     parser.add_argument("--script", help="JSON file: request id -> behavior")
     parser.add_argument("--gold", help="JSONL corpus for echo/token_form answers")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dim", type=int, default=8, help="embedding width")
     parser.add_argument("--http", type=int, metavar="PORT",
                         help="serve HTTP on this port instead of stdio")
     args = parser.parse_args(argv)
@@ -258,7 +249,7 @@ def main(argv=None) -> int:
         with open(args.script, encoding="utf-8") as fh:
             script = json.load(fh)
     gold = _load_gold(args.gold) if args.gold else None
-    backend = MockBackend(script=script, gold=gold, seed=args.seed, dim=args.dim)
+    backend = MockBackend(script=script, gold=gold, seed=args.seed)
     if args.http:
         serve_http(backend, args.http)
     else:

@@ -244,15 +244,12 @@ def filter_outputs(raw: dict,
     return canonical, report
 
 
-def score_generation_quality(generated: Corpus, reference: Corpus,
-                             embedder=None) -> dict:
+def score_generation_quality(generated: Corpus, reference: Corpus) -> dict:
     """Mean greedy-BERTScore F1 of each generated doc against its source
     exemplar (by meta, falling back to a deterministic reference pick) plus
     mean token length."""
     if len(generated) == 0 or len(reference) == 0:
         raise EmptyCorpus("both corpora must be non-empty")
-    if embedder is None:
-        embedder = hash_embedding
     ref_ids = {doc.id: doc for doc in reference}
     ref_list = sorted(reference, key=lambda d: d.id)
     f1s = []
@@ -267,7 +264,7 @@ def score_generation_quality(generated: Corpus, reference: Corpus,
         if not toks or not ref_toks:
             f1s.append(0.0)
             continue
-        score = bertscore_greedy(embedder(toks), embedder(ref_toks))
+        score = bertscore_greedy(hash_embedding(toks), hash_embedding(ref_toks))
         f1s.append(score["f1"])
     return {
         "bert_f1_mean": sum(f1s) / len(f1s),

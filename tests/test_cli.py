@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from deidkit import recognize
-from deidkit.annot_io import as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl
+from deidkit.annot_io import (
+    BadRecordLine, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
+)
 from deidkit.cli import ConfigError, PipelineConfig, main
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
 
@@ -39,6 +41,21 @@ def test_convert_directory_without_xml_exits_one(tmp_path, corpus_path):
     src.mkdir()
     (src / "gold.jsonl").write_text(corpus_path.read_text())
     out = tmp_path / "x.jsonl"
+    assert run("convert", "--in", src, "--out", out) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "5", "null", '"note"', '["a", "b"]', '{"id": "a", "text": 12}', '{"id": 7, "text": "x"}',
+    '{"id": "a", "text": "abc", "entities": [{"start": 0, "end": 1, "tag": 5}]}',
+])
+def test_malformed_jsonl_record_is_a_bad_line(tmp_path, line):
+    raw = '{"id": "ok", "text": "fine"}\n' + line + "\n"
+    with pytest.raises(BadRecordLine, match="line 2"):
+        read_jsonl(raw)
+    src = tmp_path / "bad.jsonl"
+    src.write_text(raw)
+    out = tmp_path / "o.jsonl"
     assert run("convert", "--in", src, "--out", out) == 1
     assert not out.exists()
 

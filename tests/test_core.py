@@ -15,7 +15,6 @@ from deidkit.core import (
     bio_to_spans,
     build_schema,
     spans_to_bio,
-    token_aligned,
     tokenize,
 )
 
@@ -141,7 +140,6 @@ def test_spans_to_bio_misalignment():
     doc = Document(id="d", text="abcdef", entities=(EntitySpan(2, 4, "ID", "cd"),))
     with pytest.raises(EntityTokenMisalignment):
         spans_to_bio(doc)
-    assert not token_aligned(doc)
 
 
 def test_bio_to_spans_strict_rejects_dangling_i():

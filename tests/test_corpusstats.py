@@ -11,7 +11,6 @@ from deidkit.corpusstats import (
     WHOLE_TEXT,
     BothEmpty,
     DimensionMismatch,
-    EmbeddingClient,
     EmptyCorpus,
     EmptySide,
     RatioMismatch,
@@ -26,7 +25,6 @@ from deidkit.corpusstats import (
     tag_weight,
     vocabulary,
 )
-from deidkit.recognize import EXTERNAL, RecognizerBackend
 
 from _oracles import oracle_bertscore, oracle_phi_adjacent_counts, random_doc
 
@@ -187,16 +185,6 @@ def test_hash_embedding_properties():
     np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(rows[0], rows[2])
     assert not np.array_equal(rows[0], rows[1])
-
-
-def test_embedding_client_round_trip(mock_cmd):
-    backend = RecognizerBackend(kind=EXTERNAL, endpoint=f"{mock_cmd} --dim 16",
-                                timeout_ms=10_000)
-    with EmbeddingClient(backend) as client:
-        vecs = client.embed(["alpha", "beta"])
-    assert vecs.shape == (2, 16)
-    np.testing.assert_allclose(vecs, hash_embedding(["alpha", "beta"], dim=16),
-                               atol=1e-12)
 
 
 # --- class weights ---------------------------------------------------------

@@ -12,7 +12,6 @@ from deidkit.evalmetrics import (
     LengthMismatch,
     MissingDocument,
     SchemaMismatch,
-    binary_review_metrics,
     cohens_kappa,
     confusion_to_dict,
     evaluate,
@@ -42,25 +41,6 @@ def test_confusion_matrix_basics():
     assert cm.col_sum("B") == 1
     assert cm.diagonal("A") == 3
     assert cm.total == 4
-
-
-def test_confusion_matrix_merge():
-    a = ConfusionMatrix(labels=("A", "B"))
-    a.add("A", "B", 2)
-    b = ConfusionMatrix(labels=("A", "B"))
-    b.add("A", "B", 1)
-    b.add("B", "B", 5)
-    merged = a.merge(b)
-    assert merged.get("A", "B") == 3
-    assert merged.get("B", "B") == 5
-    assert a.get("A", "B") == 2  # inputs untouched
-
-
-def test_confusion_matrix_merge_label_mismatch():
-    a = ConfusionMatrix(labels=("A", "B"))
-    b = ConfusionMatrix(labels=("A", "C"))
-    with pytest.raises(SchemaMismatch):
-        a.merge(b)
 
 
 def test_confusion_matrix_unknown_label():
@@ -214,13 +194,6 @@ def test_review_metrics_published_case():
     assert m["precision"] == pytest.approx(0.714, abs=1e-3)
     assert m["recall"] == pytest.approx(0.833, abs=1e-3)
     assert m["f1"] == pytest.approx(0.769, abs=1e-3)
-
-
-def test_binary_review_metrics():
-    gold = ["real", "real", "fake", "real", "fake", "real"]
-    assigned = ["real", "fake", "real", "real", "fake", "real"]
-    m = binary_review_metrics(gold, assigned)
-    assert (m["tp"], m["fp"], m["fn"]) == (3, 1, 1)
 
 
 # --- kappa -----------------------------------------------------------------
