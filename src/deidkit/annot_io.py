@@ -239,6 +239,9 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
             raise BadRecordLine(f"{where}missing field {field_name!r}")
         if not isinstance(rec[field_name], str):
             raise BadRecordLine(f"{where}field {field_name!r} is not a string")
+    meta = rec.get("meta", {})
+    if not isinstance(meta, dict):
+        raise BadRecordLine(f"{where}field 'meta' is not an object")
     try:
         entities = tuple(
             EntitySpan(
@@ -251,9 +254,10 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
         )
         if not all(isinstance(e.tag, str) for e in entities):
             raise BadRecordLine(f"{where}entity tag is not a string")
-        return Document(
-            id=rec["id"], text=rec["text"], entities=entities, meta=dict(rec.get("meta", {}))
-        )
+        # json gives bool for true/false, and bool is an int subclass
+        if not all(type(e.start) is int and type(e.end) is int for e in entities):
+            raise BadRecordLine(f"{where}entity offset is not an integer")
+        return Document(id=rec["id"], text=rec["text"], entities=entities, meta=dict(meta))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadRecordLine(f"{where}{exc}") from exc
 

@@ -10,6 +10,7 @@ in this module are pure functions.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -225,8 +226,10 @@ class TokenSeq:
             prev = lab
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
+# For str patterns [^\W_] is exactly str.isalnum and \s exactly str.isspace.
+# A token runs from an alnum character to the last alnum before the next
+# whitespace, or is a maximal run of other non-whitespace characters.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|(?:[^\w\s]|_)+")
 
 
 def tokenize(text: str) -> TokenSeq:
@@ -234,38 +237,17 @@ def tokenize(text: str) -> TokenSeq:
     punctuation runs off each chunk as their own tokens.
 
     Word-internal punctuation is kept, so "120/80" and "25-08-2023" stay
-    single tokens while "Dr." splits into "Dr" + ".". The token offsets
-    partition the non-whitespace characters exactly, so joining tokens with
-    the original gaps reproduces the text.
+    single tokens while "Dr." splits into "Dr" + ".". `_TOKEN` is the one
+    definition of a token. The token offsets partition the non-whitespace
+    characters exactly, so joining tokens with the original gaps
+    reproduces the text.
     """
-    tokens: list[Token] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        # chunk is text[i:j]
-        a = i
-        while a < j and not _is_word_char(text[a]):
-            a += 1
-        if a == j:
-            # chunk is all punctuation
-            tokens.append(Token(text[i:j], i, j))
-        else:
-            b = j
-            while b > a and not _is_word_char(text[b - 1]):
-                b -= 1
-            if a > i:
-                tokens.append(Token(text[i:a], i, a))
-            tokens.append(Token(text[a:b], a, b))
-            if b < j:
-                tokens.append(Token(text[b:j], b, j))
-        i = j
-    return TokenSeq(tokens=tuple(tokens))
+    return TokenSeq(tokens=tuple(Token(m.group(), *m.span()) for m in _TOKEN.finditer(text)))
+
+
+def token_surfaces(text: str) -> list[str]:
+    """The surfaces of tokenize(text), without building Token objects."""
+    return _TOKEN.findall(text)
 
 
 def first_overlaps(tokens: Sequence[Token],

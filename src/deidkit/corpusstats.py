@@ -16,12 +16,13 @@ import hashlib
 import logging
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Corpus, DeidError, first_overlaps, tokenize
+from .core import Corpus, DeidError, first_overlaps, token_surfaces, tokenize
 from .evalmetrics import label_tokens
 
 logger = logging.getLogger("deidkit.corpusstats")
@@ -72,13 +73,12 @@ def summarize(corpus: Corpus) -> CorpusSummary:
     chars = 0
     word_lens: list[int] = []
     for doc in corpus:
-        toks = tokenize(doc.text)
-        lengths.append(len(toks.tokens))
+        surfaces = token_surfaces(doc.text)
+        lengths.append(len(surfaces))
         chars += len(doc.text)
-        for tok in toks.tokens:
-            vocab.add(tok.surface)
-            if any(ch.isalnum() for ch in tok.surface):
-                word_lens.append(len(tok.surface))
+        vocab.update(surfaces)
+        # a token holds an alnum character only if it starts with one
+        word_lens.extend(len(s) for s in surfaces if s[0].isalnum())
         for ent in doc.entities:
             tags.add(ent.tag)
     if word_lens:
@@ -114,8 +114,11 @@ class NGramProfile:
     top: tuple  # ((ngram, count), ...) counts descending, ties alphabetical
 
 
+_NOT_ALNUM = re.compile(r"[\W_]+")
+
+
 def _clean_token(surface: str) -> str:
-    return "".join(ch for ch in surface.lower() if ch.isalnum())
+    return _NOT_ALNUM.sub("", surface.lower())
 
 
 def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
@@ -171,8 +174,7 @@ def _dilate(flags: list, window: int) -> list:
 def vocabulary(corpus: Corpus) -> set:
     vocab: set = set()
     for doc in corpus:
-        for tok in tokenize(doc.text).tokens:
-            vocab.add(tok.surface)
+        vocab.update(token_surfaces(doc.text))
     return vocab
 
 

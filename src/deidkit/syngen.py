@@ -12,6 +12,7 @@ schema, so filtration doubles as a total validator.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ from .annot_io import (
     write_inline_xml,
     write_jsonl,
 )
-from .core import Corpus, DeidError, Document, tokenize
+from .core import Corpus, DeidError, Document, token_surfaces
 from .corpusstats import EmptyCorpus, bertscore_greedy, hash_embedding
 from .recognize import ProtocolViolation, RecognizerBackend, _call_each, open_wire
 from .tagmap import apply_tagmap, builtin_canonical_map
@@ -185,18 +186,14 @@ class RejectReport:
 def _printable_ratio(text: str) -> float:
     if not text:
         return 1.0
-    ok = sum(1 for ch in text if ch.isprintable() or ch in "\n\t\r")
+    ok = sum(n for ch, n in Counter(text).items() if ch.isprintable() or ch in "\n\t\r")
     return ok / len(text)
 
 
-def _repeat_ratio(token_surfaces: list) -> float:
-    if not token_surfaces:
+def _repeat_ratio(surfaces: list) -> float:
+    if not surfaces:
         return 0.0
-    counts: dict = {}
-    for s in token_surfaces:
-        key = s.casefold()
-        counts[key] = counts.get(key, 0) + 1
-    return max(counts.values()) / len(token_surfaces)
+    return max(Counter(map(str.casefold, surfaces)).values()) / len(surfaces)
 
 
 def filter_outputs(raw: dict,
@@ -226,15 +223,15 @@ def filter_outputs(raw: dict,
         if len(doc.entities) < policy.min_annotations:
             report.rejects.append((aid, TOO_FEW_ANNOTATIONS))
             continue
-        toks = tokenize(doc.text)
+        surfaces = token_surfaces(doc.text)
         lo, hi = policy.length_bounds
-        if not (lo <= len(toks.tokens) <= hi):
+        if not (lo <= len(surfaces) <= hi):
             report.rejects.append((aid, LENGTH_OUT_OF_BOUNDS))
             continue
         if _printable_ratio(doc.text) < policy.printable_ratio_min:
             report.rejects.append((aid, LOW_PRINTABLE_RATIO))
             continue
-        if _repeat_ratio([t.surface for t in toks.tokens]) > policy.max_repeat_ratio:
+        if _repeat_ratio(surfaces) > policy.max_repeat_ratio:
             report.rejects.append((aid, HIGH_REPETITION))
             continue
         exemplar, _, replicate = aid.rpartition(":")
@@ -255,12 +252,12 @@ def score_generation_quality(generated: Corpus, reference: Corpus) -> dict:
     f1s = []
     lengths = []
     for i, doc in enumerate(generated):
-        toks = [t.surface for t in tokenize(doc.text).tokens]
+        toks = token_surfaces(doc.text)
         lengths.append(len(toks))
         source = ref_ids.get(doc.meta.get("exemplar", ""))
         if source is None:
             source = ref_list[i % len(ref_list)]
-        ref_toks = [t.surface for t in tokenize(source.text).tokens]
+        ref_toks = token_surfaces(source.text)
         if not toks or not ref_toks:
             f1s.append(0.0)
             continue

@@ -21,7 +21,7 @@ from .core import (
     EntitySpan,
     TagSchema,
     build_schema,
-    tokenize,
+    token_surfaces,
 )
 
 COMMERCIAL_TAGS = ("DATE", "NAME", "LOCATION", "AGE", "ID", "CONTACT", "OTHERS")
@@ -196,5 +196,5 @@ def tag_distribution(corpus: Corpus) -> dict:
         for ent in doc.entities:
             row = dist.setdefault(ent.tag, {"entities": 0, "tokens": 0})
             row["entities"] += 1
-            row["tokens"] += len(tokenize(ent.surface).tokens)
+            row["tokens"] += len(token_surfaces(ent.surface))
     return dist

@@ -16,11 +16,79 @@ from deidkit.annot_io import (
     MalformedMarkup,
     _extract_envelope,
 )
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, tokenize
-from deidkit.corpusstats import _clean_token
+from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, Token, TokenSeq, tokenize
 from deidkit.recognize import default_rulebook
+from deidkit.syngen import HIGH_REPETITION, LENGTH_OUT_OF_BOUNDS, LOW_PRINTABLE_RATIO
 
 PHI_TAGS = [t for t in CANONICAL_SCHEMA.tags if t != CANONICAL_SCHEMA.other]
+
+
+# --- tokenizer and per-character counts, one character at a time -----------
+
+def oracle_tokenize(text: str) -> TokenSeq:
+    """Whitespace chunks, each with its leading and trailing non-alnum runs
+    peeled off as their own tokens."""
+    tokens: list = []
+    n = len(text)
+    i = 0
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        a = i
+        while a < j and not text[a].isalnum():
+            a += 1
+        if a == j:
+            tokens.append(Token(text[i:j], i, j))
+        else:
+            b = j
+            while b > a and not text[b - 1].isalnum():
+                b -= 1
+            if a > i:
+                tokens.append(Token(text[i:a], i, a))
+            tokens.append(Token(text[a:b], a, b))
+            if b < j:
+                tokens.append(Token(text[b:j], b, j))
+        i = j
+    return TokenSeq(tokens=tuple(tokens))
+
+
+def oracle_clean_token(surface: str) -> str:
+    return "".join(ch for ch in surface.lower() if ch.isalnum())
+
+
+def oracle_printable_ratio(text: str) -> float:
+    if not text:
+        return 1.0
+    ok = sum(1 for ch in text if ch.isprintable() or ch in "\n\t\r")
+    return ok / len(text)
+
+
+def oracle_repeat_ratio(surfaces: list) -> float:
+    if not surfaces:
+        return 0.0
+    counts: dict = {}
+    for s in surfaces:
+        key = s.casefold()
+        counts[key] = counts.get(key, 0) + 1
+    return max(counts.values()) / len(surfaces)
+
+
+def oracle_gate_reason(text: str, policy):
+    """The reject code of the length, printable and repetition gates, in
+    filter order, for a parsed document's text; None when all pass."""
+    surfaces = oracle_tokenize(text).surfaces()
+    lo, hi = policy.length_bounds
+    if not (lo <= len(surfaces) <= hi):
+        return LENGTH_OUT_OF_BOUNDS
+    if oracle_printable_ratio(text) < policy.printable_ratio_min:
+        return LOW_PRINTABLE_RATIO
+    if oracle_repeat_ratio(surfaces) > policy.max_repeat_ratio:
+        return HIGH_REPETITION
+    return None
 
 
 # --- fuzz corpus generation ------------------------------------------------
@@ -285,7 +353,7 @@ def oracle_phi_adjacent_counts(corpus: Corpus, n: int, window: int, stoplist=())
         ctags = char_tags(doc.text, doc.entities, other)
         kept = []
         for tok in tokenize(doc.text).tokens:
-            c = _clean_token(tok.surface)
+            c = oracle_clean_token(tok.surface)
             if c and c not in stop:
                 kept.append((c, token_label_by_chars(tok, ctags, other) != other))
         for i in range(len(kept) - n + 1):

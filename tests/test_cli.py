@@ -48,6 +48,9 @@ def test_convert_directory_without_xml_exits_one(tmp_path, corpus_path):
 @pytest.mark.parametrize("line", [
     "5", "null", '"note"', '["a", "b"]', '{"id": "a", "text": 12}', '{"id": 7, "text": "x"}',
     '{"id": "a", "text": "abc", "entities": [{"start": 0, "end": 1, "tag": 5}]}',
+    '{"id": "a", "text": "abc", "meta": [["k", 1]]}', '{"id": "a", "text": "abc", "meta": null}',
+    '{"id": "a", "text": "abc", "entities": [{"start": true, "end": 3, "tag": "ID"}]}',
+    '{"id": "a", "text": "abc", "entities": [{"start": 0, "end": true, "tag": "ID"}]}',
 ])
 def test_malformed_jsonl_record_is_a_bad_line(tmp_path, line):
     raw = '{"id": "ok", "text": "fine"}\n' + line + "\n"
