@@ -16,8 +16,9 @@ entities carry start, end and tag (the surface is recovered from the text).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     CANONICAL_SCHEMA,
@@ -63,6 +64,9 @@ class InvalidLabel(DeidError):
 RECORD_OPEN = "<RECORD>"
 RECORD_CLOSE = "</RECORD>"
 ENTITY_ELEMENT = "TYPE"
+_OPEN_PREFIX = f"<{ENTITY_ELEMENT}="
+_CLOSE_MARKER = f"</{ENTITY_ELEMENT}>"
+_MARKER = re.compile(f"{re.escape(_OPEN_PREFIX)}|{re.escape(_CLOSE_MARKER)}")
 
 
 def _extract_envelope(raw: str, require_envelope: bool) -> str:
@@ -85,67 +89,52 @@ def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "do
     one entity span per TYPE element, at post-stripping offsets. Tags are
     kept as written; the corpus that takes the document checks them."""
     body = _extract_envelope(raw, require_envelope)
-    open_prefix = f"<{ENTITY_ELEMENT}="
-    close_marker = f"</{ENTITY_ELEMENT}>"
-
-    # Text between markers is copied in chunks. Each marker search resumes
-    # from its last hit and is redone only once the scan has passed that
-    # hit, so the whole scan stays O(len(body)).
     n = len(body)
-
-    def find(marker: str, start: int) -> int:
-        at = body.find(marker, start)
-        return n if at == -1 else at
-
+    # Text between markers is copied in chunks; one regex pass finds every
+    # marker, so the scan stays O(len(body)).
     out: list[str] = []
     out_len = 0
     entities: list[EntitySpan] = []
     i = 0
-    next_open, next_close = find(open_prefix, 0), find(close_marker, 0)
     open_start: Optional[int] = None  # output offset where current element began
     open_chunk = 0  # index in `out` of the current element's first chunk
     open_tag = ""
-    while i < n:
-        if next_open < i:
-            next_open = find(open_prefix, i)
-        if next_close < i:
-            next_close = find(close_marker, i)
-        at = min(next_open, next_close)
+    for m in _MARKER.finditer(body):
+        at = m.start()
+        if at < i:
+            continue  # inside an attribute value the scan has already passed
         if at > i:
             out.append(body[i:at])
             out_len += at - i
-            i = at
-            continue
-        if i == next_open:
+        if m.group() == _OPEN_PREFIX:
             if open_start is not None:
-                raise MalformedMarkup(f"nested {ENTITY_ELEMENT} element at offset {i}")
-            j = i + len(open_prefix)
+                raise MalformedMarkup(f"nested {ENTITY_ELEMENT} element at offset {at}")
+            j = m.end()
             if j >= n or body[j] not in "'\"":
-                raise MalformedMarkup(f"missing attribute quote at offset {i}")
-            quote = body[j]
-            k = body.find(quote, j + 1)
+                raise MalformedMarkup(f"missing attribute quote at offset {at}")
+            k = body.find(body[j], j + 1)
             if k == -1:
-                raise MalformedMarkup(f"unterminated attribute at offset {i}")
-            tag = body[j + 1 : k]
+                raise MalformedMarkup(f"unterminated attribute at offset {at}")
             if k + 1 >= n or body[k + 1] != ">":
-                raise MalformedMarkup(f"missing '>' after attribute at offset {i}")
-            if not tag:
-                raise MalformedMarkup(f"empty tag name at offset {i}")
+                raise MalformedMarkup(f"missing '>' after attribute at offset {at}")
+            if k == j + 1:
+                raise MalformedMarkup(f"empty tag name at offset {at}")
             open_start = out_len
             open_chunk = len(out)
-            open_tag = tag
+            open_tag = body[j + 1 : k]
             i = k + 2
         else:
             if open_start is None:
-                raise MalformedMarkup(f"stray {close_marker} at offset {i}")
+                raise MalformedMarkup(f"stray {_CLOSE_MARKER} at offset {at}")
             if out_len == open_start:
-                raise EmptyEntity(f"empty {ENTITY_ELEMENT} element ending at offset {i}")
+                raise EmptyEntity(f"empty {ENTITY_ELEMENT} element ending at offset {at}")
             surface = "".join(out[open_chunk:])
             entities.append(EntitySpan(start=open_start, end=out_len, tag=open_tag, surface=surface))
             open_start = None
-            i += len(close_marker)
+            i = m.end()
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {ENTITY_ELEMENT} element (tag {open_tag!r})")
+    out.append(body[i:])
     return Document(id=doc_id, text="".join(out), entities=tuple(entities))
 
 
@@ -262,9 +251,9 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
         raise BadRecordLine(f"{where}{exc}") from exc
 
 
-def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
-    """One document per line; the schema is settled by as_corpus."""
-    docs: list[Document] = []
+def jsonl_documents(raw: str) -> Iterator[tuple[int, Document]]:
+    """(line number, document) for each non-blank line; a line that is not
+    a valid record raises BadRecordLine naming its number."""
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
@@ -272,8 +261,12 @@ def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corp
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BadRecordLine(f"line {lineno}: {exc}") from exc
-        docs.append(document_from_record(rec, lineno))
-    return as_corpus(docs, schema)
+        yield lineno, document_from_record(rec, lineno)
+
+
+def read_jsonl(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
+    """One document per line; the schema is settled by as_corpus."""
+    return as_corpus([doc for _, doc in jsonl_documents(raw)], schema)
 
 
 def write_jsonl(corpus: Corpus) -> str:

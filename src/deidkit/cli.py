@@ -308,7 +308,8 @@ def cmd_filter(args) -> int:
 
 
 def _load_raw(source: str) -> dict:
-    """Raw generations from a raw/ directory tree or a JSONL of id/text."""
+    """Raw generations from a raw/ directory tree or a JSONL of id/text
+    records with unique ids."""
     p = Path(source)
     if p.is_dir():
         base = p / "raw" if (p / "raw").is_dir() else p
@@ -320,10 +321,10 @@ def _load_raw(source: str) -> dict:
             raise ConfigError(f"no raw outputs under {source}")
         return out
     out = {}
-    for line in p.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            out[rec["id"]] = rec["text"]
+    for lineno, doc in annot_io.jsonl_documents(p.read_text(encoding="utf-8")):
+        if doc.id in out:
+            raise annot_io.BadRecordLine(f"line {lineno}: duplicate id {doc.id!r}")
+        out[doc.id] = doc.text
     return out
 
 

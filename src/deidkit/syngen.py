@@ -136,7 +136,10 @@ class GenerationResult:
 def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationResult:
     """Exactly fanout attempts per exemplar; backend failures are recorded,
     never fatal. With out_dir, raw outputs land under raw/<exemplar>/
-    <replicate>.txt before any filtering happens."""
+    <replicate>.txt before any filtering happens; exemplar ids that cannot
+    name such a directory are refused before the backend is started."""
+    if out_dir is not None:
+        _refuse_unpersistable(doc.id for doc in job.exemplars)
     prompts = {doc.id: render_prompt(job.template, doc) for doc in job.exemplars}
     work = [(attempt_id(doc.id, k), doc.id) for doc in job.exemplars for k in range(job.fanout)]
     outcomes, retries = _call_each(
@@ -163,13 +166,23 @@ def _reply_text(_item, resp: dict) -> str:
     return resp["text"]
 
 
+def _refuse_unpersistable(exemplar_ids) -> None:
+    """raw/<exemplar> must be one directory inside raw/ and read back under
+    the same id, so an id holding "/" or being "." or ".." is refused."""
+    bad = sorted({i for i in exemplar_ids if "/" in i or i in (".", "..")})
+    if bad:
+        raise ValueError(f"exemplar ids cannot name a raw/ directory: {bad}")
+
+
 def persist_raw(result: GenerationResult, out_dir) -> None:
     base = Path(out_dir) / "raw"
+    exemplars = {aid.rpartition(":")[0] for aid in result.raw}
+    _refuse_unpersistable(exemplars)
+    for exemplar in exemplars:
+        (base / exemplar).mkdir(parents=True, exist_ok=True)
     for aid, text in result.raw.items():
         exemplar, _, replicate = aid.rpartition(":")
-        d = base / exemplar.replace("/", "_")
-        d.mkdir(parents=True, exist_ok=True)
-        (d / f"{replicate}.txt").write_text(text, encoding="utf-8")
+        (base / exemplar / f"{replicate}.txt").write_text(text, encoding="utf-8")
 
 
 @dataclass
@@ -184,7 +197,9 @@ class RejectReport:
 
 
 def _printable_ratio(text: str) -> float:
-    if not text:
+    # all printable once the three allowed controls go: ok == len(text), so
+    # the answer is exactly 1.0 without counting (and "" is printable)
+    if text.replace("\n", "").replace("\t", "").replace("\r", "").isprintable():
         return 1.0
     ok = sum(n for ch, n in Counter(text).items() if ch.isprintable() or ch in "\n\t\r")
     return ok / len(text)
@@ -215,11 +230,10 @@ def filter_outputs(raw: dict,
         except (MalformedMarkup, EmptyEntity):
             report.rejects.append((aid, MALFORMED_MARKUP))
             continue
-        if policy.unknown_tags == "reject":
-            bad = [e.tag for e in doc.entities if not tag_map.map_tag(e.tag)[1]]
-            if bad:
-                report.rejects.append((aid, UNKNOWN_TAG))
-                continue
+        if policy.unknown_tags == "reject" and \
+                not all(tag_map.map_tag(e.tag)[1] for e in doc.entities):
+            report.rejects.append((aid, UNKNOWN_TAG))
+            continue
         if len(doc.entities) < policy.min_annotations:
             report.rejects.append((aid, TOO_FEW_ANNOTATIONS))
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -39,6 +40,8 @@ class TagMap:
     target_schema: TagSchema
     rules: dict  # normalized source tag -> target tag
     default: str
+    # source tag as written -> map_tag's answer, so each tag is normalized once
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.default not in self.target_schema:
@@ -49,10 +52,12 @@ class TagMap:
 
     def map_tag(self, tag: str) -> tuple[str, bool]:
         """Returns (target tag, True if a rule matched / False if defaulted)."""
-        key = normalize_tag(tag)
-        if key in self.rules:
-            return self.rules[key], True
-        return self.default, False
+        hit = self._resolved.get(tag)
+        if hit is None:
+            key = normalize_tag(tag)
+            hit = (self.rules[key], True) if key in self.rules else (self.default, False)
+            self._resolved[tag] = hit
+        return hit
 
 
 @dataclass
@@ -65,10 +70,6 @@ class MappingAudit:
     @property
     def total(self) -> int:
         return sum(self.rule_hits.values()) + sum(self.unmapped.values())
-
-    def record(self, tag: str, matched: bool) -> None:
-        bucket = self.rule_hits if matched else self.unmapped
-        bucket[tag] = bucket.get(tag, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -152,17 +153,26 @@ def commercial_comparison_map() -> tuple[TagMap, NormalizationPolicy]:
 
 def apply_tagmap(corpus: Corpus, tag_map: TagMap) -> tuple[Corpus, MappingAudit]:
     """Rewrite every entity tag through the map. Never fails: tags without a
-    rule take the default and are tallied in audit.unmapped."""
+    rule take the default and are tallied in audit.unmapped. Each distinct
+    tag is resolved once; a document whose tags all map to themselves is
+    passed through as is."""
     audit = MappingAudit()
-    docs: list[Document] = []
-    for doc in corpus:
-        ents = []
-        for ent in doc.entities:
-            target, matched = tag_map.map_tag(ent.tag)
-            audit.record(ent.tag, matched)
-            ents.append(replace(ent, tag=target))
-        docs.append(replace(doc, entities=tuple(ents)))
-    return Corpus(documents=tuple(docs), schema=tag_map.target_schema), audit
+    renamed: dict = {}  # source tag -> a different target tag
+    for tag, n in Counter(e.tag for doc in corpus for e in doc.entities).items():
+        target, matched = tag_map.map_tag(tag)
+        (audit.rule_hits if matched else audit.unmapped)[tag] = n
+        if target != tag:
+            renamed[tag] = target
+    docs = tuple(_retag(doc, renamed) for doc in corpus)
+    return Corpus(documents=docs, schema=tag_map.target_schema), audit
+
+
+def _retag(doc: Document, renamed: dict) -> Document:
+    if not any(e.tag in renamed for e in doc.entities):
+        return doc
+    ents = tuple(EntitySpan(e.start, e.end, renamed[e.tag], e.surface) if e.tag in renamed
+                 else e for e in doc.entities)
+    return Document(id=doc.id, text=doc.text, entities=ents, meta=doc.meta)
 
 
 def load_tagmap(path) -> TagMap:

@@ -9,16 +9,30 @@ from __future__ import annotations
 import math
 import random
 import string
+from dataclasses import replace
 
 from deidkit.annot_io import (
     ENTITY_ELEMENT,
     EmptyEntity,
     MalformedMarkup,
+    MissingEnvelope,
     _extract_envelope,
+    as_corpus,
+    parse_inline_xml,
 )
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, Token, TokenSeq, tokenize
 from deidkit.recognize import default_rulebook
-from deidkit.syngen import HIGH_REPETITION, LENGTH_OUT_OF_BOUNDS, LOW_PRINTABLE_RATIO
+from deidkit.syngen import (
+    HIGH_REPETITION,
+    LENGTH_OUT_OF_BOUNDS,
+    LOW_PRINTABLE_RATIO,
+    MALFORMED_MARKUP,
+    NO_ENVELOPE,
+    TOO_FEW_ANNOTATIONS,
+    UNKNOWN_TAG,
+    FilterPolicy,
+)
+from deidkit.tagmap import MappingAudit, builtin_canonical_map, normalize_tag
 
 PHI_TAGS = [t for t in CANONICAL_SCHEMA.tags if t != CANONICAL_SCHEMA.other]
 
@@ -89,6 +103,67 @@ def oracle_gate_reason(text: str, policy):
     if oracle_repeat_ratio(surfaces) > policy.max_repeat_ratio:
         return HIGH_REPETITION
     return None
+
+
+# --- tag mapping and the filter, one entity and one build at a time --------
+
+def oracle_map_tag(tag_map, tag: str) -> tuple:
+    """The rule lookup redone from normalize_tag on every call."""
+    key = normalize_tag(tag)
+    if key in tag_map.rules:
+        return tag_map.rules[key], True
+    return tag_map.default, False
+
+
+def oracle_apply_tagmap(corpus, tag_map):
+    """Each entity looked up and rebuilt with dataclasses.replace, and each
+    document rebuilt with it, whether or not any tag changed."""
+    audit = MappingAudit()
+    docs = []
+    for doc in corpus:
+        ents = []
+        for ent in doc.entities:
+            target, matched = oracle_map_tag(tag_map, ent.tag)
+            bucket = audit.rule_hits if matched else audit.unmapped
+            bucket[ent.tag] = bucket.get(ent.tag, 0) + 1
+            ents.append(replace(ent, tag=target))
+        docs.append(replace(doc, entities=tuple(ents)))
+    return Corpus(documents=tuple(docs), schema=tag_map.target_schema), audit
+
+
+def oracle_filter_outputs(raw: dict, policy=None):
+    """The filter that builds each accepted document three times (parse,
+    with_meta, the tag-map rebuild), with the gates of oracle_gate_reason.
+    Returns the canonical corpus and the (attempt id, reason) rejects."""
+    if policy is None:
+        policy = FilterPolicy()
+    tag_map = builtin_canonical_map()
+    accepted = []
+    rejects = []
+    for aid in sorted(raw):
+        try:
+            doc = parse_inline_xml(raw[aid], policy.require_record_envelope, doc_id=aid)
+        except MissingEnvelope:
+            rejects.append((aid, NO_ENVELOPE))
+            continue
+        except (MalformedMarkup, EmptyEntity):
+            rejects.append((aid, MALFORMED_MARKUP))
+            continue
+        if policy.unknown_tags == "reject" and \
+                any(not oracle_map_tag(tag_map, e.tag)[1] for e in doc.entities):
+            rejects.append((aid, UNKNOWN_TAG))
+            continue
+        if len(doc.entities) < policy.min_annotations:
+            rejects.append((aid, TOO_FEW_ANNOTATIONS))
+            continue
+        reason = oracle_gate_reason(doc.text, policy)
+        if reason is not None:
+            rejects.append((aid, reason))
+            continue
+        exemplar, _, replicate = aid.rpartition(":")
+        accepted.append(doc.with_meta(exemplar=exemplar, replicate=replicate))
+    canonical, _audit = oracle_apply_tagmap(as_corpus(accepted, None), tag_map)
+    return canonical, rejects
 
 
 # --- fuzz corpus generation ------------------------------------------------

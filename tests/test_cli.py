@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from deidkit import recognize
+from deidkit import recognize, syngen
 from deidkit.annot_io import (
     BadRecordLine, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
 )
@@ -262,6 +262,76 @@ def test_generate_and_filter_commands(tmp_path, corpus_path, mock_cmd, capsys):
     refiltered = tmp_path / "refiltered"
     assert run("filter", "--raw", out_dir, "--out-dir", refiltered) == 0
     assert len(read_jsonl((refiltered / "accepted.jsonl").read_text())) == 4
+
+
+@pytest.mark.parametrize("line,message", [
+    ("5", "expected a JSON object"),
+    ('{"id": "x:0", "text": 7}', "field 'text' is not a string"),
+    ('{"text": "t"}', "missing field 'id'"),
+    ('{"id": "x:0"}', "missing field 'text'"),
+    ('{"id": "ok:0", "text": "again"}', "duplicate id 'ok:0'"),
+    ('{"id": "x:0", "text": ', "Expecting value"),
+], ids=["not-object", "text-not-string", "no-id", "no-text", "duplicate-id", "not-json"])
+def test_filter_raw_jsonl_bad_line_exits_one(tmp_path, caplog, line, message):
+    src = tmp_path / "raw.jsonl"
+    src.write_text('{"id": "ok:0", "text": "fine"}\n' + line + "\n")
+    out = tmp_path / "filtered"
+    assert run("filter", "--raw", src, "--out-dir", out) == 1
+    assert f"line 2: {message}" in caplog.text
+    assert not out.exists()
+
+
+def test_filter_raw_jsonl_equals_raw_tree(tmp_path, corpus_path, mock_cmd):
+    gen = tmp_path / "gen"
+    assert run("generate", "--template", "A", "--exemplars", corpus_path,
+               "--backend", mock_cmd, "--fanout", 2, "--out-dir", gen) == 0
+    lines = [json.dumps({"id": f"{d.name}:{f.stem}", "text": f.read_text()},
+                        ensure_ascii=False)
+             for d in sorted((gen / "raw").iterdir()) for f in sorted(d.iterdir())]
+    # a line separator inside a text is not a line break of the JSONL file
+    lines.append(json.dumps({"id": "sep:0", "text": "a\u2028b"}, ensure_ascii=False))
+    src = tmp_path / "raw.jsonl"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("filter", "--raw", src, "--out-dir", tmp_path / "f") == 0
+    assert (tmp_path / "f" / "accepted.jsonl").read_bytes() == \
+        (gen / "accepted.jsonl").read_bytes()
+    rejects = (tmp_path / "f" / "rejects.jsonl").read_text().splitlines()
+    assert [json.loads(r)["id"] for r in rejects] == ["sep:0"]
+
+
+def exemplars_with_ids(path, ids):
+    text = "Patient Asha Rao was seen."
+    docs = [Document(id=i, text=text, entities=(EntitySpan(8, 16, "PATIENT", "Asha Rao"),))
+            for i in ids]
+    write_corpus(Corpus(documents=tuple(docs)), path)
+    return path
+
+
+@pytest.mark.parametrize("bad", ["a/b", "/a", ".", ".."])
+def test_generate_refuses_exemplar_ids_outside_one_raw_dir(tmp_path, caplog, monkeypatch,
+                                                            mock_cmd, bad):
+    monkeypatch.setattr(syngen, "open_wire", lambda *a: pytest.fail("wire opened"))
+    src = exemplars_with_ids(tmp_path / "ex.jsonl", ["fine", bad, "a_b"])
+    out = tmp_path / "gen"
+    assert run("generate", "--template", "A", "--exemplars", src,
+               "--backend", mock_cmd, "--out-dir", out) == 1
+    assert f"[{bad!r}]" in caplog.text
+    assert not out.exists()
+
+
+def test_generate_keeps_raw_layout_and_ids(tmp_path, mock_cmd):
+    ids = ["a_b", "a:b", "x y", "é", "...", ".a"]
+    src = exemplars_with_ids(tmp_path / "ex.jsonl", ids)
+    gen = tmp_path / "gen"
+    assert run("generate", "--template", "A", "--exemplars", src,
+               "--backend", mock_cmd, "--out-dir", gen) == 0
+    assert sorted(p.relative_to(gen).as_posix() for p in gen.rglob("*.txt")) == \
+        sorted(f"raw/{i}/0.txt" for i in ids)
+    assert run("filter", "--raw", gen, "--out-dir", tmp_path / "f") == 0
+    assert (tmp_path / "f" / "accepted.jsonl").read_bytes() == \
+        (gen / "accepted.jsonl").read_bytes()
+    assert (tmp_path / "f" / "rejects.jsonl").read_bytes() == \
+        (gen / "rejects.jsonl").read_bytes()
 
 
 def test_generate_requires_external_backend(tmp_path, corpus_path):

@@ -3,6 +3,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deidkit.annot_io import parse_inline_xml
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
@@ -28,6 +29,8 @@ from deidkit.syngen import (
     run_generation_job,
     score_generation_quality,
 )
+
+from _oracles import oracle_filter_outputs
 
 
 def exemplar_corpus(n=2):
@@ -181,6 +184,48 @@ def test_filter_envelope_optional_when_configured():
     corpus, report = filter_outputs({"e:0": GOOD_BODY}, policy)
     assert report.rejects == []
     assert len(corpus) == 1
+
+
+# shipped source tags in two spellings, canonical tags, and tags no rule knows
+FUZZ_TAGS = ["Patient_Name", "patient name", "AGE", "Age", "DATE", "Phone_No",
+             "PHONE NO", "DOCTOR", "HOSPITAL", "Blood_Group", "x", "Others"]
+pieces = st.one_of(
+    st.sampled_from(["go", "Go", "GO", "w1", "w2", "w3", "120/80", "Dr.", "--", "a_b"]),
+    st.text(alphabet="\x00\x07\x85\x9f\t\r\n \u2028", min_size=1, max_size=3),
+    st.builds("<TYPE='{}'>{}</TYPE>".format, st.sampled_from(FUZZ_TAGS),
+              st.sampled_from(["Asha", "44", "01-02-2024", "x y", "\x00"])),
+)
+BROKEN = ["</TYPE>", "<TYPE='Age'>", "<TYPE=Age>", "<TYPE=''>z</TYPE>",
+          "<TYPE='Age'></TYPE>", "<RECORD>", "</RECORD>"]
+
+
+def raw_text(parts, broken, envelope):
+    body = " ".join(parts) + broken
+    return wrap(body) if envelope else body
+
+
+# one text in four carries a piece of broken markup
+raw_texts = st.builds(raw_text, st.lists(pieces, max_size=40),
+                      st.sampled_from([""] * (3 * len(BROKEN)) + BROKEN), st.booleans())
+policies = st.builds(
+    FilterPolicy,
+    require_record_envelope=st.booleans(),
+    min_annotations=st.integers(0, 3),
+    length_bounds=st.tuples(st.integers(0, 8), st.integers(8, 40)),
+    printable_ratio_min=st.sampled_from([0.0, 0.9, 0.97, 1.0]),
+    max_repeat_ratio=st.sampled_from([0.15, 0.5, 1.0]),
+    unknown_tags=st.sampled_from(["map_to_others", "reject"]),
+)
+
+
+@given(st.dictionaries(st.sampled_from(["e:0", "e:1", "f:0", "a:b:2", "g"]), raw_texts),
+       policies)
+def test_filter_outputs_equals_three_build_oracle(raw, policy):
+    corpus, report = filter_outputs(raw, policy)
+    want, want_rejects = oracle_filter_outputs(raw, policy)
+    assert corpus.documents == want.documents
+    assert corpus.schema == want.schema
+    assert report.rejects == want_rejects
 
 
 # --- generation against the mock backend -----------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, build_schema
 from deidkit.tagmap import (
     COMMERCIAL_SCHEMA,
+    COMMERCIAL_TAGS,
     NormalizationPolicy,
     TagMap,
     apply_tagmap,
@@ -15,6 +16,8 @@ from deidkit.tagmap import (
     normalize_tag,
     tag_distribution,
 )
+
+from _oracles import oracle_apply_tagmap
 
 # Frozen source -> target expectations for the shipped mapping table.
 # "Contact Information" is deliberately pinned to CONTACT.
@@ -206,3 +209,75 @@ def test_tag_distribution(sample_corpus):
 def test_mapping_total_on_arbitrary_tags(tag):
     target, _ = builtin_canonical_map().map_tag(tag)
     assert target in CANONICAL_SCHEMA
+
+
+# --- apply_tagmap against the per-entity rebuild it replaced ---------------
+
+FLAT_RULES = {"Visit_Date": "DATE", "Clinic": "HOSPITAL", "DATE": "DATE",
+              "patient": "PATIENT", "Ward No": "HOSPITAL"}
+
+
+@pytest.fixture(scope="module")
+def tag_maps(tmp_path_factory):
+    path = tmp_path_factory.mktemp("maps") / "flat.json"
+    path.write_text(json.dumps({"rules": FLAT_RULES, "default": "OTHERS"}))
+    # each map lives across examples, so lookups answered earlier are reused
+    return {"canonical": builtin_canonical_map(),
+            "commercial": commercial_comparison_map()[0],
+            "flat": load_tagmap(path)}
+
+
+def spelling(tag: str, case: str, sep: str) -> str:
+    """`tag` in another case, with its separators written another way."""
+    tag = {"same": tag, "upper": tag.upper(), "lower": tag.lower(),
+           "swap": tag.swapcase()}[case]
+    return tag.replace("_", sep).replace(" ", sep)
+
+
+KNOWN_TAGS = sorted(set(CANONICAL_SCHEMA.tags) | set(COMMERCIAL_TAGS)
+                    | set(SHIPPED_TABLE) | set(FLAT_RULES))
+drawn_tags = st.one_of(
+    st.sampled_from(KNOWN_TAGS),
+    st.builds(spelling, st.sampled_from(KNOWN_TAGS),
+              st.sampled_from(["same", "upper", "lower", "swap"]),
+              st.sampled_from(["_", " ", "__", " _ ", "\t"])),
+    st.text(min_size=1, max_size=12),
+)
+
+
+def doc_with_tags(doc_id: str, tags: list, meta: dict) -> Document:
+    """One word per tag, each word an entity."""
+    words = [f"w{i}" for i in range(len(tags))]
+    ents, at = [], 0
+    for word, tag in zip(words, tags):
+        ents.append(EntitySpan(at, at + len(word), tag, word))
+        at += len(word) + 1
+    return Document(id=doc_id, text=" ".join(words), entities=tuple(ents), meta=meta)
+
+
+@pytest.mark.parametrize("which", ["canonical", "commercial", "flat"])
+@given(data=st.data())
+def test_apply_tagmap_equals_per_entity_oracle(tag_maps, which, data):
+    tm = tag_maps[which]
+    # tags whose target is themselves: documents made of them pass through
+    self_mapped = [t for t in tm.target_schema.tags if tm.map_tag(t)[0] == t]
+    tag_lists = data.draw(st.lists(st.one_of(
+        st.lists(drawn_tags, max_size=6),
+        st.lists(st.sampled_from(self_mapped), max_size=6),
+    ), max_size=6))
+    metas = data.draw(st.lists(st.dictionaries(st.sampled_from("ab"), st.text(max_size=3)),
+                               min_size=len(tag_lists), max_size=len(tag_lists)))
+    docs = [doc_with_tags(f"d{i}", tags, meta)
+            for i, (tags, meta) in enumerate(zip(tag_lists, metas))]
+    src = Corpus(documents=tuple(docs),
+                 schema=build_schema(t for tags in tag_lists for t in tags))
+    got, audit = apply_tagmap(src, tm)
+    want, want_audit = oracle_apply_tagmap(src, tm)
+    assert got.documents == want.documents
+    assert got.schema == want.schema
+    # same counts in the same order, so a dumped audit is byte-identical
+    assert list(audit.rule_hits.items()) == list(want_audit.rule_hits.items())
+    assert list(audit.unmapped.items()) == list(want_audit.unmapped.items())
+    for before, after in zip(src, got):
+        if all(tm.map_tag(e.tag)[0] == e.tag for e in before.entities):
+            assert after is before

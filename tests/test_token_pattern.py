@@ -2,6 +2,7 @@
 the character-at-a-time code they replaced (kept in _oracles)."""
 
 import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,16 +37,19 @@ def test_regex_classes_match_str_predicates_on_every_code_point():
 
 
 # underscore, digits from several scripts, numerics, combining marks, the
-# separators \x1c-\x1f (whitespace to str, not to bytes), NEL and NBSP
-TRICKY = list("_0123456789a.-/ \t\n") + [
+# separators \x1c-\x1f (whitespace to str, not to bytes), NEL and NBSP, and
+# the controls the printable gate lets through or counts against a text
+TRICKY = list("_0123456789a.-/ \t\n\r") + [
     "\u0661", "\u00b2", "\u00bd", "\u2167",  # digits and numerics
     "\u0301", "\u0308", "\u20dd", "\u0e31",  # combining marks
     "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+    "\x00", "\x07", "\x0b", "\x0c", "\x1b", "\x7f", "\x80", "\x9f",  # C0, DEL, C1
 ]
 texts = st.one_of(
     st.text(),
     st.text(alphabet=st.one_of(st.sampled_from(TRICKY), st.characters())),
     st.text(alphabet=st.sampled_from(TRICKY)),
+    st.text(alphabet=string.printable),  # mostly the all-printable fast path
 )
 
 
