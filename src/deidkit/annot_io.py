@@ -219,6 +219,12 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
+def has_lone_surrogate(s: str) -> bool:
+    """True when `s` holds a lone surrogate: JSON can carry one as an escape,
+    but no UTF-8 file can hold it. Encoding with "ignore" drops exactly those."""
+    return not s.isascii() and s.encode("utf-8", "ignore").decode("utf-8") != s
+
+
 def document_from_record(rec: dict, lineno: int = 0) -> Document:
     where = f"line {lineno}: " if lineno else ""
     if not isinstance(rec, dict):
@@ -228,6 +234,8 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
             raise BadRecordLine(f"{where}missing field {field_name!r}")
         if not isinstance(rec[field_name], str):
             raise BadRecordLine(f"{where}field {field_name!r} is not a string")
+        if has_lone_surrogate(rec[field_name]):
+            raise BadRecordLine(f"{where}field {field_name!r} holds a lone surrogate")
     meta = rec.get("meta", {})
     if not isinstance(meta, dict):
         raise BadRecordLine(f"{where}field 'meta' is not an object")
@@ -325,6 +333,10 @@ def write_corpus(corpus: Corpus, path) -> None:
             raise DeidError(f"cannot write {len(corpus)} documents to a single .xml file")
         p.write_text(write_inline_xml(corpus.documents[0]), encoding="utf-8")
     else:
+        # each id names one file inside p ("." and ".." gain ".xml")
+        bad = sorted(doc.id for doc in corpus if "/" in doc.id or "\0" in doc.id)
+        if bad:
+            raise DeidError(f"document ids cannot name a file in {p}: {bad}")
         p.mkdir(parents=True, exist_ok=True)
         for doc in corpus:
             (p / f"{doc.id}.xml").write_text(write_inline_xml(doc), encoding="utf-8")

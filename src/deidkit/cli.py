@@ -295,7 +295,7 @@ def cmd_generate(args) -> int:
 
 def cmd_filter(args) -> int:
     config = _config_from_args(args)
-    raw = _load_raw(args.raw)
+    raw = syngen.load_raw(args.raw)
     policy_kwargs = dict(config.filter)
     if args.min_annotations is not None:
         policy_kwargs["min_annotations"] = args.min_annotations
@@ -305,27 +305,6 @@ def cmd_filter(args) -> int:
     _write_json({"accepted": len(corpus), "rejected": len(rejects.rejects),
                  "reject_counts": rejects.counts()}, None)
     return 0
-
-
-def _load_raw(source: str) -> dict:
-    """Raw generations from a raw/ directory tree or a JSONL of id/text
-    records with unique ids."""
-    p = Path(source)
-    if p.is_dir():
-        base = p / "raw" if (p / "raw").is_dir() else p
-        out = {}
-        for exemplar_dir in sorted(d for d in base.iterdir() if d.is_dir()):
-            for f in sorted(exemplar_dir.glob("*.txt")):
-                out[f"{exemplar_dir.name}:{f.stem}"] = f.read_text(encoding="utf-8")
-        if not out:
-            raise ConfigError(f"no raw outputs under {source}")
-        return out
-    out = {}
-    for lineno, doc in annot_io.jsonl_documents(p.read_text(encoding="utf-8")):
-        if doc.id in out:
-            raise annot_io.BadRecordLine(f"line {lineno}: duplicate id {doc.id!r}")
-        out[doc.id] = doc.text
-    return out
 
 
 def cmd_run_matrix(args) -> int:
@@ -503,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("filter", help="validate raw generations into a corpus")
-    p.add_argument("--raw", required=True, help="raw/ directory or id/text JSONL")
+    p.add_argument("--raw", required=True, help="id/text JSONL, or a generate run directory")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--min-annotations", type=int, default=None)
     p.add_argument("--config")

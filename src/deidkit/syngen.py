@@ -19,10 +19,13 @@ from pathlib import Path
 from typing import Optional
 
 from .annot_io import (
+    BadRecordLine,
     MalformedMarkup,
     MissingEnvelope,
     EmptyEntity,
     as_corpus,
+    has_lone_surrogate,
+    jsonl_documents,
     parse_inline_xml,
     write_inline_xml,
     write_jsonl,
@@ -135,11 +138,7 @@ class GenerationResult:
 
 def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationResult:
     """Exactly fanout attempts per exemplar; backend failures are recorded,
-    never fatal. With out_dir, raw outputs land under raw/<exemplar>/
-    <replicate>.txt before any filtering happens; exemplar ids that cannot
-    name such a directory are refused before the backend is started."""
-    if out_dir is not None:
-        _refuse_unpersistable(doc.id for doc in job.exemplars)
+    never fatal. With out_dir, persist_raw runs before any filtering."""
     prompts = {doc.id: render_prompt(job.template, doc) for doc in job.exemplars}
     work = [(attempt_id(doc.id, k), doc.id) for doc in job.exemplars for k in range(job.fanout)]
     outcomes, retries = _call_each(
@@ -163,26 +162,37 @@ def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationRe
 def _reply_text(_item, resp: dict) -> str:
     if not isinstance(resp.get("text"), str):
         raise ProtocolViolation("no text field")
+    if has_lone_surrogate(resp["text"]):
+        raise ProtocolViolation("text holds a lone surrogate")
     return resp["text"]
 
 
-def _refuse_unpersistable(exemplar_ids) -> None:
-    """raw/<exemplar> must be one directory inside raw/ and read back under
-    the same id, so an id holding "/" or being "." or ".." is refused."""
-    bad = sorted({i for i in exemplar_ids if "/" in i or i in (".", "..")})
-    if bad:
-        raise ValueError(f"exemplar ids cannot name a raw/ directory: {bad}")
+def _write_records(path: Path, records) -> None:
+    """One key-sorted JSON object per line, each line newline-terminated."""
+    lines = (json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def persist_raw(result: GenerationResult, out_dir) -> None:
-    base = Path(out_dir) / "raw"
-    exemplars = {aid.rpartition(":")[0] for aid in result.raw}
-    _refuse_unpersistable(exemplars)
-    for exemplar in exemplars:
-        (base / exemplar).mkdir(parents=True, exist_ok=True)
-    for aid, text in result.raw.items():
-        exemplar, _, replicate = aid.rpartition(":")
-        (base / exemplar / f"{replicate}.txt").write_text(text, encoding="utf-8")
+    """out_dir/raw.jsonl: one {"id", "text"} record per generated attempt,
+    sorted by id. No id becomes a file name, so every id round-trips."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    _write_records(Path(out_dir) / "raw.jsonl",
+                   ({"id": aid, "text": result.raw[aid]} for aid in sorted(result.raw)))
+
+
+def load_raw(source) -> dict:
+    """Attempt id -> text from a JSONL of id/text records with unique ids;
+    a directory means the raw.jsonl that `generate` wrote into it."""
+    p = Path(source)
+    if p.is_dir():
+        p = p / "raw.jsonl"
+    out = {}
+    for lineno, doc in jsonl_documents(p.read_text(encoding="utf-8")):
+        if doc.id in out:
+            raise BadRecordLine(f"line {lineno}: duplicate id {doc.id!r}")
+        out[doc.id] = doc.text
+    return out
 
 
 @dataclass
@@ -289,11 +299,8 @@ def write_filtered(corpus: Corpus, report: RejectReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "accepted.jsonl").write_text(write_jsonl(corpus), encoding="utf-8")
-    (out / "rejects.jsonl").write_text(
-        "".join(json.dumps({"id": aid, "reason": reason}, ensure_ascii=False) + "\n"
-                for aid, reason in report.rejects),
-        encoding="utf-8",
-    )
+    _write_records(out / "rejects.jsonl",
+                   ({"id": aid, "reason": reason} for aid, reason in report.rejects))
 
 
 def run_generation_job(job: GenerationJob, out_dir) -> dict:

@@ -12,6 +12,7 @@ from deidkit.annot_io import (
     MalformedMarkup,
     MissingEnvelope,
     UnknownTag,
+    has_lone_surrogate,
     parse_inline_xml,
     read_conll,
     read_corpus,
@@ -152,6 +153,16 @@ def test_jsonl_bad_lines():
         read_jsonl('{"text": "missing id"}\n')
     with pytest.raises(BadRecordLine):
         read_jsonl('{"id": "d", "text": "ab", "entities": [{"start": 0, "end": 9, "tag": "ID"}]}\n')
+
+
+@given(st.text(st.characters(exclude_categories=())))
+def test_has_lone_surrogate_is_failing_to_encode(s):
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        assert has_lone_surrogate(s)
+    else:
+        assert not has_lone_surrogate(s)
 
 
 def test_jsonl_unknown_tag_vs_inferred():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from deidkit import recognize, syngen
+from deidkit import recognize
 from deidkit.annot_io import (
     BadRecordLine, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
 )
@@ -43,6 +43,19 @@ def test_convert_directory_without_xml_exits_one(tmp_path, corpus_path):
     out = tmp_path / "x.jsonl"
     assert run("convert", "--in", src, "--out", out) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["../escape", "a/b", "a\x00b"])
+def test_convert_to_xml_dir_refuses_ids_outside_it(tmp_path, caplog, bad):
+    # "." and ".." gain ".xml" and stay inside the directory
+    docs = [Document(id=i, text="note") for i in ("fine", ".", "..", bad)]
+    src = tmp_path / "in.jsonl"
+    write_corpus(Corpus(documents=tuple(docs)), src)
+    out = tmp_path / "xml"
+    assert run("convert", "--in", src, "--out", out) == 1
+    assert f"[{bad!r}]" in caplog.text
+    assert not out.exists()
+    assert not (tmp_path / "escape.xml").exists()
 
 
 @pytest.mark.parametrize("line", [
@@ -271,7 +284,10 @@ def test_generate_and_filter_commands(tmp_path, corpus_path, mock_cmd, capsys):
     ('{"id": "x:0"}', "missing field 'text'"),
     ('{"id": "ok:0", "text": "again"}', "duplicate id 'ok:0'"),
     ('{"id": "x:0", "text": ', "Expecting value"),
-], ids=["not-object", "text-not-string", "no-id", "no-text", "duplicate-id", "not-json"])
+    ('{"id": "x:0", "text": "a\\ud800"}', "field 'text' holds a lone surrogate"),
+    ('{"id": "x\\udc00:0", "text": "t"}', "field 'id' holds a lone surrogate"),
+], ids=["not-object", "text-not-string", "no-id", "no-text", "duplicate-id", "not-json",
+        "text-lone-surrogate", "id-lone-surrogate"])
 def test_filter_raw_jsonl_bad_line_exits_one(tmp_path, caplog, line, message):
     src = tmp_path / "raw.jsonl"
     src.write_text('{"id": "ok:0", "text": "fine"}\n' + line + "\n")
@@ -281,22 +297,29 @@ def test_filter_raw_jsonl_bad_line_exits_one(tmp_path, caplog, line, message):
     assert not out.exists()
 
 
-def test_filter_raw_jsonl_equals_raw_tree(tmp_path, corpus_path, mock_cmd):
+def test_filter_raw_run_dir_equals_raw_jsonl(tmp_path, corpus_path, mock_cmd):
     gen = tmp_path / "gen"
     assert run("generate", "--template", "A", "--exemplars", corpus_path,
                "--backend", mock_cmd, "--fanout", 2, "--out-dir", gen) == 0
-    lines = [json.dumps({"id": f"{d.name}:{f.stem}", "text": f.read_text()},
-                        ensure_ascii=False)
-             for d in sorted((gen / "raw").iterdir()) for f in sorted(d.iterdir())]
+    assert run("filter", "--raw", gen, "--out-dir", tmp_path / "d") == 0
     # a line separator inside a text is not a line break of the JSONL file
-    lines.append(json.dumps({"id": "sep:0", "text": "a\u2028b"}, ensure_ascii=False))
     src = tmp_path / "raw.jsonl"
-    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src.write_text((gen / "raw.jsonl").read_text(encoding="utf-8")
+                   + json.dumps({"id": "sep:0", "text": "a\u2028b"}, ensure_ascii=False)
+                   + "\n", encoding="utf-8")
     assert run("filter", "--raw", src, "--out-dir", tmp_path / "f") == 0
     assert (tmp_path / "f" / "accepted.jsonl").read_bytes() == \
-        (gen / "accepted.jsonl").read_bytes()
+        (tmp_path / "d" / "accepted.jsonl").read_bytes() == (gen / "accepted.jsonl").read_bytes()
     rejects = (tmp_path / "f" / "rejects.jsonl").read_text().splitlines()
     assert [json.loads(r)["id"] for r in rejects] == ["sep:0"]
+
+
+def test_filter_raw_old_tree_exits_two(tmp_path, caplog):
+    old = tmp_path / "gen"
+    (old / "raw" / "e").mkdir(parents=True)
+    (old / "raw" / "e" / "0.txt").write_text("<RECORD>note</RECORD>")
+    assert run("filter", "--raw", old, "--out-dir", tmp_path / "f") == 2
+    assert str(old / "raw.jsonl") in caplog.text
 
 
 def exemplars_with_ids(path, ids):
@@ -307,31 +330,50 @@ def exemplars_with_ids(path, ids):
     return path
 
 
-@pytest.mark.parametrize("bad", ["a/b", "/a", ".", ".."])
-def test_generate_refuses_exemplar_ids_outside_one_raw_dir(tmp_path, caplog, monkeypatch,
-                                                            mock_cmd, bad):
-    monkeypatch.setattr(syngen, "open_wire", lambda *a: pytest.fail("wire opened"))
-    src = exemplars_with_ids(tmp_path / "ex.jsonl", ["fine", bad, "a_b"])
-    out = tmp_path / "gen"
-    assert run("generate", "--template", "A", "--exemplars", src,
-               "--backend", mock_cmd, "--out-dir", out) == 1
-    assert f"[{bad!r}]" in caplog.text
-    assert not out.exists()
-
-
 def test_generate_keeps_raw_layout_and_ids(tmp_path, mock_cmd):
-    ids = ["a_b", "a:b", "x y", "é", "...", ".a"]
+    # no id becomes a file name, so "/", "..", NUL and the rest round-trip
+    ids = ["a/b", "/a", ".", "..", "a\x00b", "a:b", "é", "x y", "a_b", "...", ".a"]
     src = exemplars_with_ids(tmp_path / "ex.jsonl", ids)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"a\x00b:0": "malformed", "..:0": "short"}))
     gen = tmp_path / "gen"
     assert run("generate", "--template", "A", "--exemplars", src,
-               "--backend", mock_cmd, "--out-dir", gen) == 0
-    assert sorted(p.relative_to(gen).as_posix() for p in gen.rglob("*.txt")) == \
-        sorted(f"raw/{i}/0.txt" for i in ids)
+               "--backend", f"{mock_cmd} --script {script}", "--out-dir", gen) == 0
+    assert sorted(p.name for p in gen.iterdir()) == \
+        ["accepted.jsonl", "raw.jsonl", "rejects.jsonl"]
+    raw = [json.loads(line) for line in (gen / "raw.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in raw] == sorted(f"{i}:0" for i in ids)
+    assert len((gen / "rejects.jsonl").read_text().splitlines()) == 2
     assert run("filter", "--raw", gen, "--out-dir", tmp_path / "f") == 0
     assert (tmp_path / "f" / "accepted.jsonl").read_bytes() == \
         (gen / "accepted.jsonl").read_bytes()
     assert (tmp_path / "f" / "rejects.jsonl").read_bytes() == \
         (gen / "rejects.jsonl").read_bytes()
+
+
+def test_generate_raw_jsonl_is_byte_stable(tmp_path, corpus_path, mock_cmd):
+    runs = [tmp_path / "g1", tmp_path / "g2"]
+    for gen in runs:
+        assert run("generate", "--template", "B", "--exemplars", corpus_path,
+                   "--backend", mock_cmd, "--fanout", 3, "--out-dir", gen) == 0
+    raw = (runs[0] / "raw.jsonl").read_text(encoding="utf-8")
+    assert raw == (runs[1] / "raw.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in raw.splitlines()]
+    assert [r["id"] for r in records] == sorted(f"d{i}:{k}" for i in (1, 2) for k in range(3))
+    assert raw == "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
+                          for r in records)
+
+
+def test_generate_all_failed_writes_empty_raw_jsonl(tmp_path, corpus_path, mock_cmd, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"d1:0": "error", "d2:0": "error"}))
+    gen = tmp_path / "gen"
+    assert run("generate", "--template", "A", "--exemplars", corpus_path,
+               "--backend", f"{mock_cmd} --script {script}", "--out-dir", gen) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 2
+    assert (gen / "raw.jsonl").read_bytes() == b""
+    assert run("filter", "--raw", gen, "--out-dir", tmp_path / "f") == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] == 0
 
 
 def test_generate_requires_external_backend(tmp_path, corpus_path):

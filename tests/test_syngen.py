@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import shlex
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -257,10 +259,38 @@ def test_generate_persists_raw_before_filtering(mock_cmd, tmp_path):
     out = tmp_path / "run"
     result = generate(job, out_dir=out)
     assert len(result.raw) == 2
-    raw_files = sorted(p.name for p in (out / "raw" / "ex-0").iterdir())
-    assert raw_files == ["0.txt", "1.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["raw.jsonl"]
+    records = [json.loads(line) for line in (out / "raw.jsonl").read_text().splitlines()]
+    assert records == [{"id": aid, "text": result.raw[aid]} for aid in ("ex-0:0", "ex-0:1")]
     # the malformed output is persisted verbatim even though it cannot parse
-    assert "Asha Rao is stable" in (out / "raw" / "ex-0" / "0.txt").read_text()
+    assert "Asha Rao is stable" in records[0]["text"]
+
+
+# Replies "fine" to ex-0:0 and, for every other attempt, a text holding a lone
+# surrogate, which json.dumps sends as the escape \ud800.
+SURROGATE_BACKEND = f"{sys.executable} -c " + shlex.quote(
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    rid = json.loads(line)['id']\n"
+    "    text = 'fine' if rid == 'ex-0:0' else 'bad \\ud800'\n"
+    "    print(json.dumps({'id': rid, 'text': text}), flush=True)\n"
+)
+
+
+def test_generate_fails_an_attempt_whose_text_is_not_unicode(tmp_path):
+    job = GenerationJob(template=load_template("A"), exemplars=exemplar_corpus(1),
+                        backend=RecognizerBackend(kind=EXTERNAL, endpoint=SURROGATE_BACKEND,
+                                                  timeout_ms=15_000),
+                        fanout=2)
+    out = tmp_path / "run"
+    summary = run_generation_job(job, out)
+    assert (summary["generated"], summary["failures"]) == (1, 1)
+    assert (out / "raw.jsonl").read_text() == '{"id": "ex-0:0", "text": "fine"}\n'
+    assert (out / "rejects.jsonl").read_text() == \
+        '{"id": "ex-0:0", "reason": "no_envelope"}\n'
+    assert (out / "accepted.jsonl").read_text() == ""
+    result = generate(job)
+    assert result.failures == [("ex-0:1", "ProtocolViolation: text holds a lone surrogate")]
 
 
 def test_generate_records_backend_failures(mock_cmd, tmp_path):
