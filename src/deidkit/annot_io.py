@@ -84,7 +84,8 @@ def _extract_envelope(raw: str, require_envelope: bool) -> str:
     return raw[open_at + len(RECORD_OPEN) : close_at]
 
 
-def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "doc") -> Document:
+def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "doc",
+                     meta: Optional[dict] = None) -> Document:
     """Strip the markup from `raw` and return the plain-text document with
     one entity span per TYPE element, at post-stripping offsets. Tags are
     kept as written; the corpus that takes the document checks them."""
@@ -135,7 +136,7 @@ def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "do
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {ENTITY_ELEMENT} element (tag {open_tag!r})")
     out.append(body[i:])
-    return Document(id=doc_id, text="".join(out), entities=tuple(entities))
+    return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=meta or {})
 
 
 def write_inline_xml(doc: Document) -> str:
@@ -172,8 +173,6 @@ def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
             toks.append(Token(t, pos, pos + len(t)))
             pos += len(t) + 1
         seq = TokenSeq(tokens=tuple(toks), labels=tuple(labels))
-        if strict:
-            seq.check_bio()
         spans = bio_to_spans(seq, text, strict=strict)
         docs.append(Document(id=f"doc-{len(docs)}", text=text, entities=tuple(spans)))
         tokens.clear()
@@ -219,10 +218,33 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def has_lone_surrogate(s: str) -> bool:
-    """True when `s` holds a lone surrogate: JSON can carry one as an escape,
-    but no UTF-8 file can hold it. Encoding with "ignore" drops exactly those."""
-    return not s.isascii() and s.encode("utf-8", "ignore").decode("utf-8") != s
+def has_lone_surrogate(value) -> bool:
+    """True when a string in `value`, a decoded JSON value (keys included),
+    holds a lone surrogate: JSON can carry one as an escape, but no UTF-8
+    file can hold it. Encoding with "ignore" drops exactly those."""
+    if isinstance(value, str):
+        return not value.isascii() and value.encode("utf-8", "ignore").decode("utf-8") != value
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    return isinstance(value, list) and any(map(has_lone_surrogate, value))
+
+
+def decode_spans(records, text: str) -> tuple:
+    """The spans of JSONL entities and backend span replies alike; a fault
+    raises KeyError, TypeError or ValueError (SpanOutOfRange for offsets).
+    The Document that takes them checks their end and their overlaps."""
+    spans = []
+    for rec in records:
+        start, end, tag = rec["start"], rec["end"], rec["tag"]
+        spans.append(EntitySpan(start, end, tag, text[start:end]))
+        if not isinstance(tag, str):
+            raise TypeError("entity tag is not a string")
+        # json gives bool for true/false, and bool is an int subclass
+        if type(start) is not int or type(end) is not int:
+            raise TypeError("entity offset is not an integer")
+        if has_lone_surrogate(tag):
+            raise ValueError("entity tag holds a lone surrogate")
+    return tuple(spans)
 
 
 def document_from_record(rec: dict, lineno: int = 0) -> Document:
@@ -234,26 +256,14 @@ def document_from_record(rec: dict, lineno: int = 0) -> Document:
             raise BadRecordLine(f"{where}missing field {field_name!r}")
         if not isinstance(rec[field_name], str):
             raise BadRecordLine(f"{where}field {field_name!r} is not a string")
-        if has_lone_surrogate(rec[field_name]):
-            raise BadRecordLine(f"{where}field {field_name!r} holds a lone surrogate")
     meta = rec.get("meta", {})
     if not isinstance(meta, dict):
         raise BadRecordLine(f"{where}field 'meta' is not an object")
+    for field_name in ("id", "text", "meta"):
+        if has_lone_surrogate(rec.get(field_name)):
+            raise BadRecordLine(f"{where}field {field_name!r} holds a lone surrogate")
     try:
-        entities = tuple(
-            EntitySpan(
-                start=e["start"],
-                end=e["end"],
-                tag=e["tag"],
-                surface=rec["text"][e["start"] : e["end"]],
-            )
-            for e in rec.get("entities", [])
-        )
-        if not all(isinstance(e.tag, str) for e in entities):
-            raise BadRecordLine(f"{where}entity tag is not a string")
-        # json gives bool for true/false, and bool is an int subclass
-        if not all(type(e.start) is int and type(e.end) is int for e in entities):
-            raise BadRecordLine(f"{where}entity offset is not an integer")
+        entities = decode_spans(rec.get("entities", []), rec["text"])
         return Document(id=rec["id"], text=rec["text"], entities=entities, meta=dict(meta))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadRecordLine(f"{where}{exc}") from exc
@@ -305,6 +315,9 @@ def read_corpus(path, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
         files = sorted(p.glob("*.xml"))
         if not files:
             raise DeidError(f"no .xml files in directory {p}")
+        for f in files:
+            if has_lone_surrogate(f.stem):
+                raise DeidError(f"document id from file name {f.name!r} holds a lone surrogate")
         return as_corpus(
             (parse_inline_xml(f.read_text(encoding="utf-8"), doc_id=f.stem) for f in files),
             schema,

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import annot_io, corpusstats, evalmetrics, recognize, surrogate, syngen, tagmap
 from .core import CANONICAL_SCHEMA, Corpus, DeidError
-from .recognize import BackendTimeout, ProtocolViolation, SpanOutOfRange
+from .recognize import BackendTimeout, ProtocolViolation
 
 logger = logging.getLogger("deidkit.cli")
 
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (BackendTimeout, ProtocolViolation, SpanOutOfRange) as exc:
+    except (BackendTimeout, ProtocolViolation) as exc:
         logger.error("backend failure: %s", exc)
         return 2
     except OSError as exc:

@@ -39,6 +39,10 @@ class UnknownTag(DeidError, ValueError):
     """An entity tag outside the schema of the corpus that holds it."""
 
 
+class SpanOutOfRange(DeidError, ValueError):
+    """Span offsets that cannot index the text: negative, empty, or past its end."""
+
+
 # Canonical tag inventory. OTHERS is the non-PHI catch-all.
 CANONICAL_TAGS = (
     "CONTACT",
@@ -91,9 +95,9 @@ class EntitySpan:
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"bad span offsets [{self.start}, {self.end})")
+            raise SpanOutOfRange(f"bad span offsets [{self.start}, {self.end})")
         if not self.surface:
-            raise ValueError("span surface must be non-empty")
+            raise SpanOutOfRange("span surface must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,8 @@ class Document:
         prev_end = 0
         for ent in ents:
             if ent.end > len(self.text):
-                raise ValueError(
-                    f"doc {self.id!r}: span [{ent.start},{ent.end}) exceeds text length {len(self.text)}"
-                )
+                # also the reason recognize reports for a backend span past the request text
+                raise SpanOutOfRange(f"span {ent.start}:{ent.end} outside text of {len(self.text)}")
             if ent.start < prev_end:
                 raise ValueError(f"doc {self.id!r}: overlapping entities at offset {ent.start}")
             if self.text[ent.start : ent.end] != ent.surface:
@@ -202,7 +205,7 @@ class TokenSeq:
             if len(labels) != len(self.tokens):
                 raise ValueError(f"{len(labels)} labels for {len(self.tokens)} tokens")
             for lab in labels:
-                if lab != "O" and not (lab.startswith(("B-", "I-")) and len(lab) > 2):
+                if lab != "O" and not (isinstance(lab, str) and lab[:2] in ("B-", "I-") and lab[2:]):
                     raise ValueError(f"bad label {lab!r}")
 
     def __len__(self) -> int:
@@ -210,20 +213,6 @@ class TokenSeq:
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
-
-    def check_bio(self) -> None:
-        """Raise InvalidBioSequence on any I-tag without a matching B/I before it."""
-        if self.labels is None:
-            return
-        prev = "O"
-        for i, lab in enumerate(self.labels):
-            if lab.startswith("I-"):
-                tag = lab[2:]
-                if prev == "O" or prev[2:] != tag:
-                    raise InvalidBioSequence(
-                        f"dangling {lab} at token {i} (previous label {prev})"
-                    )
-            prev = lab
 
 
 # For str patterns [^\W_] is exactly str.isalnum and \s exactly str.isspace.

@@ -11,7 +11,9 @@ subprocess's standard streams:
            or {"id": ..., "error": "..."}
 
 Backend output never bypasses validation: a document whose response fails
-any check is excluded with a recorded reason and the run continues.
+any check is excluded with a recorded reason and the run continues. Span
+replies are decoded by the same code as JSONL entities, so offsets must be
+JSON integers; a malformed span or token record excludes only its document.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from .annot_io import decode_spans
 from .core import (
     CANONICAL_SCHEMA,
     Corpus,
     DeidError,
     Document,
     EntitySpan,
-    InvalidBioSequence,
+    SpanOutOfRange,
     TagSchema,
     Token,
     TokenSeq,
@@ -56,10 +59,6 @@ class InvalidPattern(DeidError):
 
 class ProtocolViolation(DeidError):
     """A backend response outside the wire protocol."""
-
-
-class SpanOutOfRange(DeidError):
-    """A predicted span that does not fit the request text."""
 
 
 class BackendTimeout(DeidError):
@@ -314,10 +313,9 @@ def open_wire(backend: RecognizerBackend) -> _Wire:
     return _SubprocessWire(backend.endpoint, backend.timeout_ms)
 
 
-def align_token_predictions(token_records: Sequence[dict], text: str,
-                            strict: bool = False) -> list[EntitySpan]:
+def align_token_predictions(token_records: Sequence[dict], text: str) -> list[EntitySpan]:
     """Convert a token-labeled response into spans. Offsets are validated
-    against the request text; BIO errors repair leniently unless strict."""
+    against the request text; BIO errors are repaired leniently."""
     toks = []
     labels = []
     for rec in token_records:
@@ -327,41 +325,28 @@ def align_token_predictions(token_records: Sequence[dict], text: str,
         toks.append(Token(surface, start, end))
         labels.append(rec["label"])
     seq = TokenSeq(tokens=tuple(toks), labels=tuple(labels))
-    return bio_to_spans(seq, text, strict=strict)
-
-
-def _validate_spans(doc: Document, raw_spans: Sequence[dict],
-                    schema: TagSchema) -> tuple:
-    spans = []
-    for rec in raw_spans:
-        start, end, tag = rec["start"], rec["end"], rec["tag"]
-        if not (isinstance(start, int) and isinstance(end, int)):
-            raise ProtocolViolation(f"non-integer offsets in {rec}")
-        if not (0 <= start < end <= len(doc.text)):
-            raise SpanOutOfRange(f"span {start}:{end} outside text of {len(doc.text)}")
-        if tag not in schema:
-            raise ProtocolViolation(f"tag {tag!r} outside backend schema {schema.name!r}")
-        spans.append(EntitySpan(start=start, end=end, tag=tag, surface=doc.text[start:end]))
-    spans.sort(key=lambda s: (s.start, s.end))
-    for prev, cur in zip(spans, spans[1:]):
-        if cur.start < prev.end:
-            raise ProtocolViolation(f"overlapping spans {prev} / {cur}")
-    return tuple(spans)
+    return bio_to_spans(seq, text, strict=False)
 
 
 def _parse_response(doc: Document, resp: dict, schema: TagSchema) -> tuple:
-    if "spans" in resp:
-        return _validate_spans(doc, resp["spans"], schema)
-    if "tokens" in resp:
-        try:
+    """One reply's spans, decoded as JSONL entities are, or from BIO tokens:
+    SpanOutOfRange for a span that cannot index the text, else ProtocolViolation."""
+    try:
+        if "spans" in resp:
+            spans = Document(id=doc.id, text=doc.text,
+                             entities=decode_spans(resp["spans"], doc.text)).entities
+        elif "tokens" in resp:
             spans = align_token_predictions(resp["tokens"], doc.text)
-        except (KeyError, TypeError, InvalidBioSequence) as exc:
-            raise ProtocolViolation(f"bad token response: {exc}") from exc
-        for span in spans:
-            if span.tag not in schema:
-                raise ProtocolViolation(f"tag {span.tag!r} outside backend schema")
-        return tuple(spans)
-    raise ProtocolViolation("response carries neither spans nor tokens")
+        else:
+            raise ProtocolViolation("response carries neither spans nor tokens")
+    except SpanOutOfRange:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolViolation(f"malformed reply: {type(exc).__name__}: {exc}") from exc
+    for span in spans:
+        if span.tag not in schema:
+            raise ProtocolViolation(f"tag {span.tag!r} outside backend schema {schema.name!r}")
+    return tuple(spans)
 
 
 def _call_each(wire, items: list, payload_of, parse, backend: RecognizerBackend):

@@ -87,17 +87,6 @@ class SurrogatePlan:
     passthrough: frozenset = frozenset()
     audit: tuple = ()
 
-    def __post_init__(self) -> None:
-        for (nsurface, tag), rep in self.bindings.items():
-            if normalize_surface(rep) == nsurface:
-                raise ValueError(
-                    f"plan for {self.doc_id!r} maps ({nsurface!r}, {tag}) to itself"
-                )
-
-    def covers(self, ent: EntitySpan) -> bool:
-        key = (normalize_surface(ent.surface), ent.tag)
-        return key in self.bindings or key in self.passthrough
-
 
 # --- deterministic keyed byte stream -------------------------------------
 
@@ -431,16 +420,13 @@ def _splice(doc: Document, replacement_of) -> Document:
 def apply_surrogates(doc: Document, plan: SurrogatePlan) -> Document:
     """Rewrite the text with the planned replacements; entity offsets are
     recomputed and non-entity text is untouched."""
-    for ent in doc.entities:
-        if ent.tag != "OTHERS" and not plan.covers(ent):
-            raise PlanIncomplete(
-                f"doc {doc.id!r}: no plan entry for ({ent.surface!r}, {ent.tag})"
-            )
 
     def replacement_of(ent: EntitySpan) -> str:
         key = (normalize_surface(ent.surface), ent.tag)
         if ent.tag == "OTHERS" or key in plan.passthrough:
             return ent.surface
+        if key not in plan.bindings:
+            raise PlanIncomplete(f"doc {doc.id!r}: no plan entry for ({ent.surface!r}, {ent.tag})")
         return plan.bindings[key]
 
     return _splice(doc, replacement_of)

@@ -23,7 +23,6 @@ from .annot_io import (
     MalformedMarkup,
     MissingEnvelope,
     EmptyEntity,
-    as_corpus,
     has_lone_surrogate,
     jsonl_documents,
     parse_inline_xml,
@@ -231,9 +230,10 @@ def filter_outputs(raw: dict,
     accepted: list[Document] = []
     report = RejectReport()
     for aid in sorted(raw):
-        text = raw[aid]
+        exemplar, _, replicate = aid.rpartition(":")
         try:
-            doc = parse_inline_xml(text, policy.require_record_envelope, doc_id=aid)
+            doc = parse_inline_xml(raw[aid], policy.require_record_envelope, doc_id=aid,
+                                   meta={"exemplar": exemplar, "replicate": replicate})
         except MissingEnvelope:
             report.rejects.append((aid, NO_ENVELOPE))
             continue
@@ -258,10 +258,10 @@ def filter_outputs(raw: dict,
         if _repeat_ratio(surfaces) > policy.max_repeat_ratio:
             report.rejects.append((aid, HIGH_REPETITION))
             continue
-        exemplar, _, replicate = aid.rpartition(":")
-        accepted.append(doc.with_meta(exemplar=exemplar, replicate=replicate))
-    # generated tags are kept as written until the map folds them in
-    canonical, _audit = apply_tagmap(as_corpus(accepted, None), tag_map)
+        accepted.append(doc)
+    # generated tags are kept as written until the map folds them in, and the
+    # corpus it returns is the one that checks them
+    canonical, _audit = apply_tagmap(accepted, tag_map)
     return canonical, report
 
 

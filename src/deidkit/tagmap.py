@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Sequence, Union
 
 from .core import (
     CANONICAL_SCHEMA,
@@ -151,11 +152,12 @@ def commercial_comparison_map() -> tuple[TagMap, NormalizationPolicy]:
     return tag_map, NormalizationPolicy()
 
 
-def apply_tagmap(corpus: Corpus, tag_map: TagMap) -> tuple[Corpus, MappingAudit]:
-    """Rewrite every entity tag through the map. Never fails: tags without a
-    rule take the default and are tallied in audit.unmapped. Each distinct
-    tag is resolved once; a document whose tags all map to themselves is
-    passed through as is."""
+def apply_tagmap(corpus: Union[Corpus, Sequence[Document]],
+                 tag_map: TagMap) -> tuple[Corpus, MappingAudit]:
+    """Rewrite every entity tag in the documents through the map. Never
+    fails: tags without a rule take the default and are tallied in
+    audit.unmapped. Each distinct tag is resolved once; a document whose
+    tags all map to themselves is passed through as is."""
     audit = MappingAudit()
     renamed: dict = {}  # source tag -> a different target tag
     for tag, n in Counter(e.tag for doc in corpus for e in doc.entities).items():

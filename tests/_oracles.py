@@ -13,15 +13,26 @@ from dataclasses import replace
 
 from deidkit.annot_io import (
     ENTITY_ELEMENT,
+    BadRecordLine,
     EmptyEntity,
     MalformedMarkup,
     MissingEnvelope,
     _extract_envelope,
     as_corpus,
+    has_lone_surrogate,
     parse_inline_xml,
 )
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, Token, TokenSeq, tokenize
-from deidkit.recognize import default_rulebook
+from deidkit.core import (
+    CANONICAL_SCHEMA,
+    Corpus,
+    Document,
+    EntitySpan,
+    InvalidBioSequence,
+    Token,
+    TokenSeq,
+    tokenize,
+)
+from deidkit.recognize import ProtocolViolation, SpanOutOfRange, default_rulebook
 from deidkit.syngen import (
     HIGH_REPETITION,
     LENGTH_OUT_OF_BOUNDS,
@@ -391,6 +402,77 @@ def oracle_parse_inline_xml(raw: str, require_envelope: bool = False,
     if open_start is not None:
         raise MalformedMarkup(f"unclosed {elem} element (tag {open_tag!r})")
     return Document(id=doc_id, text="".join(out), entities=tuple(entities))
+
+
+# --- span records: the two decoders that one replaced ----------------------
+
+def oracle_document_from_record(rec: dict, lineno: int = 0) -> Document:
+    """The JSONL decoder that built every entity first and then made two
+    more passes over them for the tag and offset types."""
+    where = f"line {lineno}: " if lineno else ""
+    if not isinstance(rec, dict):
+        raise BadRecordLine(f"{where}expected a JSON object, got {type(rec).__name__}")
+    for field_name in ("id", "text"):
+        if field_name not in rec:
+            raise BadRecordLine(f"{where}missing field {field_name!r}")
+        if not isinstance(rec[field_name], str):
+            raise BadRecordLine(f"{where}field {field_name!r} is not a string")
+        if has_lone_surrogate(rec[field_name]):
+            raise BadRecordLine(f"{where}field {field_name!r} holds a lone surrogate")
+    meta = rec.get("meta", {})
+    if not isinstance(meta, dict):
+        raise BadRecordLine(f"{where}field 'meta' is not an object")
+    try:
+        entities = tuple(
+            EntitySpan(
+                start=e["start"],
+                end=e["end"],
+                tag=e["tag"],
+                surface=rec["text"][e["start"] : e["end"]],
+            )
+            for e in rec.get("entities", [])
+        )
+        if not all(isinstance(e.tag, str) for e in entities):
+            raise BadRecordLine(f"{where}entity tag is not a string")
+        if not all(type(e.start) is int and type(e.end) is int for e in entities):
+            raise BadRecordLine(f"{where}entity offset is not an integer")
+        return Document(id=rec["id"], text=rec["text"], entities=entities, meta=dict(meta))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadRecordLine(f"{where}{exc}") from exc
+
+
+def oracle_validate_spans(doc: Document, raw_spans, schema) -> tuple:
+    """The wire's own span decoder: isinstance offsets (so bools passed),
+    then range, then schema, then a sorted overlap scan. A record that is
+    not an object with all three keys escaped as KeyError or TypeError."""
+    spans = []
+    for rec in raw_spans:
+        start, end, tag = rec["start"], rec["end"], rec["tag"]
+        if not (isinstance(start, int) and isinstance(end, int)):
+            raise ProtocolViolation(f"non-integer offsets in {rec}")
+        if not (0 <= start < end <= len(doc.text)):
+            raise SpanOutOfRange(f"span {start}:{end} outside text of {len(doc.text)}")
+        if tag not in schema:
+            raise ProtocolViolation(f"tag {tag!r} outside backend schema {schema.name!r}")
+        spans.append(EntitySpan(start=start, end=end, tag=tag, surface=doc.text[start:end]))
+    spans.sort(key=lambda s: (s.start, s.end))
+    for prev, cur in zip(spans, spans[1:]):
+        if cur.start < prev.end:
+            raise ProtocolViolation(f"overlapping spans {prev} / {cur}")
+    return tuple(spans)
+
+
+def oracle_check_bio(seq: TokenSeq) -> None:
+    """Raise InvalidBioSequence on any I-tag without a matching B/I before it."""
+    if seq.labels is None:
+        return
+    prev = "O"
+    for i, lab in enumerate(seq.labels):
+        if lab.startswith("I-"):
+            tag = lab[2:]
+            if prev == "O" or prev[2:] != tag:
+                raise InvalidBioSequence(f"dangling {lab} at token {i} (previous label {prev})")
+        prev = lab
 
 
 # --- rule overlap resolution: the scan-everything reference ----------------

@@ -126,6 +126,9 @@ def test_conll_strict_vs_lenient():
 
     with pytest.raises(InvalidBioSequence):
         read_conll(raw)
+    # an I-tag after a B of another tag dangles too; the strict bio_to_spans says so
+    with pytest.raises(InvalidBioSequence, match="dangling I-DATE at token 1"):
+        read_conll("a\tB-ID\nb\tI-DATE\n")
     corpus = read_conll(raw, strict=False)
     assert corpus.get("doc-0").entities[0].tag == "DATE"
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import sys
 
 import pytest
@@ -73,6 +74,34 @@ def test_malformed_jsonl_record_is_a_bad_line(tmp_path, line):
     src.write_text(raw)
     out = tmp_path / "o.jsonl"
     assert run("convert", "--in", src, "--out", out) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record,field", [
+    ({"id": "a", "text": "abc", "entities": [{"start": 0, "end": 1, "tag": "X\ud800"}]},
+     "entity tag"),
+    ({"id": "a", "text": "abc", "meta": {"k": "\ud800"}}, "field 'meta'"),
+    ({"id": "a", "text": "abc", "meta": {"k": [1, {"\udc00": None}]}}, "field 'meta'"),
+], ids=["tag", "meta-value", "meta-nested-key"])
+def test_convert_rejects_lone_surrogate_at_read(tmp_path, caplog, record, field):
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(record) + "\n")  # the surrogate travels as a \u escape
+    out = tmp_path / "out.jsonl"
+    assert run("convert", "--schema", "infer", "--in", src, "--out", out) == 1
+    assert f"line 1: {field} holds a lone surrogate" in caplog.text
+    assert not out.exists()
+
+
+def test_convert_xml_dir_rejects_file_name_that_is_not_utf8(tmp_path, caplog):
+    src = tmp_path / "xml"
+    src.mkdir()
+    (src / "fine.xml").write_text("<RECORD>note</RECORD>")
+    # the id would be the file name decoded with surrogateescape: "\udcff"
+    with open(os.path.join(os.fsencode(src), b"\xff.xml"), "w") as fh:
+        fh.write("<RECORD>note</RECORD>")
+    out = tmp_path / "out.jsonl"
+    assert run("convert", "--in", src, "--out", out) == 1
+    assert "document id from file name '\\udcff.xml' holds a lone surrogate" in caplog.text
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from deidkit.core import (
     tokenize,
 )
 
-from _oracles import random_doc
+from _oracles import oracle_check_bio, random_doc
 
 
 def offsets(text):
@@ -173,11 +173,26 @@ def test_token_seq_rejects_bad_labels():
         TokenSeq(tokens=toks.tokens, labels=("O", "Q-DATE"))
 
 
+@given(st.lists(st.sampled_from(["O", "B-ID", "I-ID", "B-DATE", "I-DATE"]), max_size=8))
+def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
+    text = " ".join("x" * len(labels))
+    seq = TokenSeq(tokens=tokenize(text).tokens, labels=tuple(labels))
+
+    def rejects(check) -> bool:
+        try:
+            check()
+        except InvalidBioSequence:
+            return True
+        return False
+
+    assert rejects(lambda: bio_to_spans(seq, text, strict=True)) == \
+        rejects(lambda: oracle_check_bio(seq))
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_bio_round_trip_property(seed):
     rng = random.Random(seed)
     doc = random_doc(rng, "doc-0", max_tokens=40)
     seq = spans_to_bio(doc)
-    seq.check_bio()
     back = bio_to_spans(seq, doc.text)
     assert tuple(back) == doc.entities

@@ -11,8 +11,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deidkit.annot_io import write_jsonl
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.annot_io import document_from_record, write_jsonl
+from deidkit.cli import main
+from deidkit.core import CANONICAL_SCHEMA, CANONICAL_TAGS, Corpus, Document, EntitySpan
 from deidkit.recognize import (
     BUILTIN_RULES,
     EXTERNAL,
@@ -22,6 +23,8 @@ from deidkit.recognize import (
     RecognizerBackend,
     Rule,
     Rulebook,
+    SpanOutOfRange,
+    _parse_response,
     _SubprocessWire,
     align_token_predictions,
     default_rulebook,
@@ -31,7 +34,7 @@ from deidkit.recognize import (
     recognize_rules,
 )
 
-from _oracles import oracle_recognize_rules
+from _oracles import oracle_document_from_record, oracle_recognize_rules, oracle_validate_spans
 
 
 NOTE = ("Patient Asha Rao, CRNO: 483920, aged 42 years, phone 9876543210, "
@@ -141,6 +144,129 @@ def test_align_token_predictions_surface_mismatch():
     records = [{"surface": "XXXX", "start": 0, "end": 4, "label": "O"}]
     with pytest.raises(DeidError):
         align_token_predictions(records, "Asha Rao")
+
+
+# --- span records: one decoder for JSONL lines and backend replies ---------
+
+RECORD_FAULTS = ("none", "missing_key", "bool_offset", "float_offset", "out_of_range",
+                 "overlap", "non_string_tag", "unknown_tag")
+
+
+@st.composite
+def span_records(draw):
+    """(text, span records, fault): disjoint in-range records in any order,
+    then at most one fault applied to one of them."""
+    text = draw(st.text(alphabet="ab c.", min_size=1, max_size=30))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)))
+    records = [{"start": a, "end": b, "tag": draw(st.sampled_from(CANONICAL_TAGS))}
+               for a, b in zip(cuts[::2], cuts[1::2])]
+    records = draw(st.permutations(records)) or [{"start": 0, "end": len(text), "tag": "ID"}]
+    fault = draw(st.sampled_from(RECORD_FAULTS))
+    rec = records[draw(st.integers(0, len(records) - 1))]
+    if fault == "missing_key":
+        del rec[draw(st.sampled_from(["start", "end", "tag"]))]
+    elif fault == "bool_offset":  # [0, 1) written as [false, true): in range, not integers
+        records = [r for r in records if r["start"] >= 1]
+        records.insert(draw(st.integers(0, len(records))),
+                       {"start": False, "end": True, "tag": rec["tag"]})
+    elif fault == "float_offset":
+        key = draw(st.sampled_from(["start", "end"]))
+        rec[key] = float(rec[key])
+    elif fault == "out_of_range":
+        start, end, k = rec["start"], rec["end"], draw(st.integers(1, 3))
+        rec["start"], rec["end"] = draw(st.sampled_from([
+            (-k, end), (start, len(text) + k), (start, start), (end, start),
+            (len(text) + k - 1, len(text) + k)]))
+    elif fault == "overlap":
+        start = draw(st.integers(rec["start"], rec["end"] - 1))
+        records.append({"start": start, "end": draw(st.integers(start + 1, len(text))),
+                        "tag": rec["tag"]})
+    elif fault == "non_string_tag":
+        rec["tag"] = draw(st.sampled_from([5, None, True, ["ID"]]))
+    elif fault == "unknown_tag":
+        rec["tag"] = "NOT_A_TAG"
+    return text, records, fault
+
+
+def _file_outcome(decode, rec):
+    try:
+        return decode(rec, 3)
+    except Exception as exc:  # class and message are the outcome
+        return type(exc), str(exc)
+
+
+def _old_wire_verdict(doc, records):
+    try:
+        return "accept", oracle_validate_spans(doc, records, CANONICAL_SCHEMA)
+    except (ProtocolViolation, SpanOutOfRange) as exc:
+        return "exclude", type(exc).__name__
+    except (KeyError, TypeError):
+        return "aborted the run", None
+
+
+@settings(max_examples=300)
+@given(span_records())
+def test_span_records_decode_as_the_two_old_decoders_did(case):
+    text, records, fault = case
+    # JSONL: an equal Document, or the same exception class and message
+    rec = {"id": "d", "text": text, "entities": records}
+    assert _file_outcome(document_from_record, rec) == \
+        _file_outcome(oracle_document_from_record, rec)
+    # wire: the same verdict and reason class on every reply the old code
+    # handled, and an exclusion where it aborted the run
+    doc = Document(id="d", text=text)
+    try:
+        new = "accept", _parse_response(doc, {"id": "d", "spans": records}, CANONICAL_SCHEMA)
+    except (ProtocolViolation, SpanOutOfRange) as exc:
+        new = "exclude", type(exc).__name__
+    old = _old_wire_verdict(doc, records)
+    if fault == "bool_offset" and old[0] == "accept":
+        # the one intended difference: the old isinstance check let bools through
+        assert new == ("exclude", "ProtocolViolation")
+    elif old[0] == "aborted the run":
+        assert new == ("exclude", "ProtocolViolation")
+    else:
+        assert new == old
+
+
+SCRIPTED_BACKEND = """\
+import json, sys
+replies = json.load(open(sys.argv[1]))
+for line in sys.stdin:
+    request = json.loads(line)
+    reply = replies.get(request["id"], {"spans": []})
+    sys.stdout.write(json.dumps({"id": request["id"], **reply}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("reply", [
+    {"spans": [{"end": 4, "tag": "PATIENT"}]},
+    {"spans": [5]},
+    {"spans": 5},
+    {"spans": [{"start": False, "end": True, "tag": "PATIENT"}]},
+    {"tokens": [{"surface": "Asha", "start": 0, "end": 4, "label": "Q-DATE"}]},
+    {"tokens": [{"surface": "Rao", "start": 5, "end": 8, "label": "O"},
+                {"surface": "Asha", "start": 0, "end": 4, "label": "O"}]},
+    {"tokens": [{"surface": "Asha", "start": 0, "end": 4, "label": 7}]},
+], ids=["span-without-start", "span-not-object", "spans-not-list", "span-bool-offsets",
+        "token-label-q", "tokens-out-of-order", "token-label-int"])
+def test_malformed_reply_excludes_only_its_document(tmp_path, reply):
+    script = tmp_path / "backend.py"
+    script.write_text(SCRIPTED_BACKEND)
+    replies = tmp_path / "replies.json"
+    replies.write_text(json.dumps({"d1": reply}))
+    docs = [Document(id=f"d{i}", text="Asha Rao left on 01-02-2024") for i in range(3)]
+    src, pred, report = tmp_path / "in.jsonl", tmp_path / "pred.jsonl", tmp_path / "report.json"
+    src.write_text(write_jsonl(Corpus(documents=tuple(docs))))
+    assert main(["recognize", "--in", str(src), "--out", str(pred), "--report", str(report),
+                 "--backend", f"{sys.executable} {script} {replies}"]) == 0
+    predicted = [json.loads(line)["id"] for line in pred.read_text().splitlines()]
+    excluded = json.loads(report.read_text())["excluded"]
+    assert len(predicted) + len(excluded) == len(docs)
+    assert predicted == ["d0", "d2"]
+    assert [doc_id for doc_id, _ in excluded] == ["d1"]
+    assert excluded[0][1].startswith("ProtocolViolation: ")
 
 
 # --- external backends -----------------------------------------------------

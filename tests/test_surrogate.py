@@ -9,7 +9,9 @@ from deidkit.surrogate import (
     REDACT,
     SURROGATE,
     MissingLexicon,
+    PlanIncomplete,
     SurrogateConfig,
+    SurrogatePlan,
     UnparseableDate,
     apply_surrogates,
     load_lexicon,
@@ -109,7 +111,17 @@ def test_replacement_differs_from_original():
 def test_plan_covers_all_entities(sample_doc):
     plan = plan_surrogates(sample_doc, SurrogateConfig(seed=5))
     for ent in sample_doc.entities:
-        assert plan.covers(ent)
+        key = (normalize_surface(ent.surface), ent.tag)
+        assert key in plan.bindings or key in plan.passthrough
+
+
+def test_apply_surrogates_refuses_a_plan_that_misses_an_entity(sample_doc):
+    plan = plan_surrogates(sample_doc, SurrogateConfig(seed=5))
+    with pytest.raises(PlanIncomplete, match="no plan entry"):
+        apply_surrogates(sample_doc, SurrogatePlan(doc_id=plan.doc_id, bindings={}))
+    keep_all = SurrogatePlan(doc_id=plan.doc_id, bindings={},
+                             passthrough=frozenset(plan.bindings) | plan.passthrough)
+    assert apply_surrogates(sample_doc, keep_all) == sample_doc
 
 
 def test_determinism_across_runs(sample_corpus):
