@@ -233,6 +233,8 @@ def decode_spans(records, text: str) -> tuple:
     """The spans of JSONL entities and backend span replies alike; a fault
     raises KeyError, TypeError or ValueError (SpanOutOfRange for offsets).
     The Document that takes them checks their end and their overlaps."""
+    if not isinstance(records, list):  # an object or a string would read as no spans
+        raise TypeError("entity records are not a JSON array")
     spans = []
     for rec in records:
         start, end, tag = rec["start"], rec["end"], rec["tag"]

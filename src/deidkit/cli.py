@@ -6,7 +6,8 @@ problems, 2 on I/O or backend trouble. File formats are picked by extension
 (.jsonl, .conll, .xml, or a directory of .xml). JSON outputs are written
 with sorted keys so identical inputs under a fixed seed give byte-identical
 files. The DEIDKIT_BACKEND environment variable overrides any configured
-backend endpoint.
+backend endpoint. Each subcommand imports only the modules it runs: numpy
+loads only for stats and compare, the HTTP client only for an http(s) backend.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import annot_io, corpusstats, evalmetrics, recognize, surrogate, syngen, tagmap
-from .core import CANONICAL_SCHEMA, Corpus, DeidError
-from .recognize import BackendTimeout, ProtocolViolation
+from . import annot_io
+from .core import CANONICAL_SCHEMA, BackendTimeout, Corpus, DeidError, ProtocolViolation
 
 logger = logging.getLogger("deidkit.cli")
 
@@ -44,6 +44,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
+        from . import surrogate, syngen
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -66,7 +67,8 @@ def _schema_arg(value: str):
     if value == "canonical":
         return CANONICAL_SCHEMA
     if value == "commercial":
-        return tagmap.COMMERCIAL_SCHEMA
+        from .tagmap import COMMERCIAL_SCHEMA
+        return COMMERCIAL_SCHEMA
     if value == "infer":
         return None
     raise argparse.ArgumentTypeError(f"unknown schema {value!r}")
@@ -81,6 +83,7 @@ def _write_json(obj, path: Optional[str] = None) -> None:
 
 
 def _backend_from_args(args, config: PipelineConfig) -> recognize.RecognizerBackend:
+    from . import recognize
     endpoint = os.environ.get(ENV_BACKEND) or getattr(args, "backend", "") or config.backend
     if not endpoint or endpoint == "rules":
         return recognize.RecognizerBackend(kind=recognize.BUILTIN_RULES, name="rules")
@@ -109,6 +112,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_map_tags(args) -> int:
+    from . import tagmap
     corpus = annot_io.read_corpus(args.infile, schema=None)
     if args.map:
         tm = tagmap.load_tagmap(args.map)
@@ -135,6 +139,7 @@ def cmd_map_tags(args) -> int:
 
 
 def cmd_deidentify(args) -> int:
+    from . import surrogate
     config = _config_from_args(args)
     corpus = annot_io.read_corpus(args.infile)
     kwargs = dict(config.surrogate)
@@ -151,22 +156,13 @@ def cmd_deidentify(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    from . import recognize
     config = _config_from_args(args)
     corpus = annot_io.read_corpus(args.infile)
     backend = _backend_from_args(args, config)
     result = recognize.recognize_corpus(corpus, backend)
-    pred_map = result.as_pred_map()
-    docs = []
-    for doc in corpus:
-        if doc.id in pred_map:
-            docs.append(
-                dataclasses.replace(
-                    doc, entities=tuple(pred_map[doc.id]),
-                    meta={**doc.meta, "backend": backend.name or backend.kind},
-                )
-            )
-    out_corpus = Corpus(documents=tuple(docs), schema=backend.schema)
-    annot_io.write_corpus(out_corpus, args.out)
+    docs = tuple(p.document for p in result.predictions)
+    annot_io.write_corpus(Corpus(documents=docs, schema=backend.schema), args.out)
     if args.report:
         _write_json(
             {"predicted": len(result.predictions),
@@ -180,10 +176,10 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evalmetrics
     gold = annot_io.read_corpus(args.gold)
     pred = annot_io.read_corpus(args.pred)
-    report, matrix = evalmetrics.evaluate(gold, {d.id: list(d.entities) for d in pred},
-                                          mode=args.mode)
+    report, matrix = evalmetrics.evaluate(gold, pred, mode=args.mode)
     sys.stdout.write(evalmetrics.format_report(report, matrix) + "\n")
     if args.out:
         _write_json(
@@ -195,6 +191,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    from . import evalmetrics
     labels_a = Path(args.a).read_text(encoding="utf-8").split()
     labels_b = Path(args.b).read_text(encoding="utf-8").split()
     rep = evalmetrics.cohens_kappa(labels_a, labels_b)
@@ -208,6 +205,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import corpusstats, tagmap
     corpus = annot_io.read_corpus(args.infile, schema=None)
     summary = corpusstats.summarize(corpus)
     payload = {
@@ -219,6 +217,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_ngrams(args) -> int:
+    from . import corpusstats
     corpus = annot_io.read_corpus(args.infile)
     stoplist = None
     if args.stoplist:
@@ -237,6 +236,7 @@ def cmd_ngrams(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import corpusstats
     a = annot_io.read_corpus(args.a, schema=None)
     b = annot_io.read_corpus(args.b, schema=None)
     payload = {
@@ -245,12 +245,14 @@ def cmd_compare(args) -> int:
         "b": corpusstats.summary_to_dict(corpusstats.summarize(b)),
     }
     if args.bertscore:
+        from . import syngen
         payload["bertscore"] = syngen.score_generation_quality(a, b)
     _write_json(payload, args.out)
     return 0
 
 
 def cmd_weights(args) -> int:
+    from . import corpusstats
     corpus = annot_io.read_corpus(args.infile)
     weights = corpusstats.class_weights(corpus, cap=args.cap)
     _write_json({"n": weights.n, "per_tag": weights.per_tag}, args.out)
@@ -258,6 +260,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from . import corpusstats
     corpus = annot_io.read_corpus(args.infile)
     ratios = _parse_ratios(args.ratios)
     parts = corpusstats.split(corpus, ratios, seed=args.seed)
@@ -277,6 +280,7 @@ def _parse_ratios(raw: str):
 
 
 def cmd_generate(args) -> int:
+    from . import recognize, syngen
     config = _config_from_args(args)
     template = syngen.load_template(args.template)
     exemplars = annot_io.read_corpus(args.exemplars)
@@ -294,6 +298,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    from . import syngen
     config = _config_from_args(args)
     raw = syngen.load_raw(args.raw)
     policy_kwargs = dict(config.filter)
@@ -308,6 +313,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_run_matrix(args) -> int:
+    from . import corpusstats, evalmetrics, recognize
     grid = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
     allowed = {"train_sets", "test_sets", "mode", "out_dir", "backend"}
     unknown = set(grid) - allowed
@@ -398,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deidentify", help="redact or surrogate PHI spans")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=[surrogate.REDACT, surrogate.SURROGATE],
-                   default=surrogate.SURROGATE)
+    p.add_argument("--mode", choices=["redact", "surrogate"], default="surrogate")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--date-offset", type=int, default=None, help="days")
     p.add_argument("--time-offset", type=int, default=None, help="minutes")
@@ -420,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--mode", choices=[evalmetrics.TOKEN, evalmetrics.ENTITY_STRICT],
-                   default=evalmetrics.TOKEN)
+    p.add_argument("--mode", choices=["token", "entity_strict"], default="token")
     p.add_argument("--out", help="write metrics JSON here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -440,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--scope", choices=[corpusstats.WHOLE_TEXT, corpusstats.PHI_ADJACENT],
-                   default=corpusstats.WHOLE_TEXT)
+    p.add_argument("--scope", choices=["whole_text", "phi_adjacent"], default="whole_text")
     p.add_argument("--window", type=int, default=3)
     p.add_argument("--stoplist")
     p.add_argument("--out")

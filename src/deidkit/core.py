@@ -43,6 +43,14 @@ class SpanOutOfRange(DeidError, ValueError):
     """Span offsets that cannot index the text: negative, empty, or past its end."""
 
 
+class ProtocolViolation(DeidError):
+    """A backend response outside the wire protocol."""
+
+
+class BackendTimeout(DeidError):
+    """No response within the configured timeout (after retries)."""
+
+
 # Canonical tag inventory. OTHERS is the non-PHI catch-all.
 CANONICAL_TAGS = (
     "CONTACT",

@@ -7,7 +7,8 @@ token classification, and deterministic train/val/test splits.
 Conventions that matter downstream: token counts use the core tokenizer;
 vocabularies are case-sensitive; n-gram tokens are lowercased with
 punctuation stripped inside the token ("mg/dl" counts as "mgdl"); class
-weights use the natural logarithm.
+weights use the natural logarithm. numpy is imported by the functions that
+use it (summarize, bertscore_greedy, hash_embedding), not by this module.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import random
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .core import Corpus, DeidError, first_overlaps, token_surfaces, tokenize
 from .evalmetrics import label_tokens
@@ -67,6 +66,7 @@ class CorpusSummary:
 
 
 def summarize(corpus: Corpus) -> CorpusSummary:
+    import numpy as np
     lengths: list[int] = []
     vocab: set = set()
     tags: set = set()
@@ -186,13 +186,6 @@ def jaccard_distance(a: Corpus, b: Corpus) -> float:
     return 1.0 - len(va & vb) / len(union)
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    out = np.zeros_like(matrix)
-    np.divide(matrix, norms, out=out, where=norms > 0)
-    return out
-
-
 def bertscore_greedy(cand: Sequence, ref: Sequence) -> dict:
     """Greedy max-cosine matching, no idf weighting, no baseline rescaling.
 
@@ -200,13 +193,18 @@ def bertscore_greedy(cand: Sequence, ref: Sequence) -> dict:
     reference vector; R is symmetric; F1 is their harmonic mean. A vector
     bitwise-identical to one on the other side scores exactly 1, which keeps
     self-comparison at (1, 1, 1) despite rounding."""
+    import numpy as np
     c = np.asarray(cand, dtype=float)
     r = np.asarray(ref, dtype=float)
     if c.ndim != 2 or c.shape[0] == 0 or r.ndim != 2 or r.shape[0] == 0:
         raise EmptySide("both sides need at least one vector")
     if c.shape[1] != r.shape[1]:
         raise DimensionMismatch(f"dim {c.shape[1]} vs {r.shape[1]}")
-    sim = np.clip(_unit_rows(c) @ _unit_rows(r).T, -1.0, 1.0)
+    unit = [np.zeros_like(m) for m in (c, r)]  # rows of length 1; a zero row stays 0
+    for m, out in zip((c, r), unit):
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        np.divide(m, norms, out=out, where=norms > 0)
+    sim = np.clip(unit[0] @ unit[1].T, -1.0, 1.0)
     ref_rows = {row.tobytes() for row in r}
     cand_rows = {row.tobytes() for row in c}
     p_scores = [
@@ -242,9 +240,8 @@ def hash_vector(token: str, dim: int) -> list[float]:
 def hash_embedding(tokens: Sequence[str], dim: int = 32) -> np.ndarray:
     """Deterministic per-token unit vectors; the in-repo stand-in for a
     contextual embedding backend."""
-    if not tokens:
-        return np.zeros((0, dim))
-    return np.asarray([hash_vector(t, dim) for t in tokens], dtype=float)
+    import numpy as np
+    return np.asarray([hash_vector(t, dim) for t in tokens], dtype=float).reshape(len(tokens), dim)
 
 
 # --- class weights ---------------------------------------------------------

@@ -18,7 +18,6 @@ JSON integers; a malformed span or token record excludes only its document.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
@@ -26,9 +25,7 @@ import select
 import shlex
 import subprocess
 import time
-import urllib.request
 from bisect import bisect_left
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,10 +34,12 @@ from typing import Iterable, Optional, Sequence, Union
 from .annot_io import decode_spans
 from .core import (
     CANONICAL_SCHEMA,
+    BackendTimeout,
     Corpus,
     DeidError,
     Document,
     EntitySpan,
+    ProtocolViolation,
     SpanOutOfRange,
     TagSchema,
     Token,
@@ -55,14 +54,6 @@ EXTERNAL = "external"
 
 class InvalidPattern(DeidError):
     """A rulebook regex that does not compile."""
-
-
-class ProtocolViolation(DeidError):
-    """A backend response outside the wire protocol."""
-
-
-class BackendTimeout(DeidError):
-    """No response within the configured timeout (after retries)."""
 
 
 # --- builtin rule baseline -------------------------------------------------
@@ -175,12 +166,18 @@ class RecognizerBackend:
         if self.timeout_ms <= 0 or self.retry < 0 or self.max_in_flight < 1:
             raise ValueError("bad backend limits")
 
+    def predicted(self, doc: Document, spans) -> Document:
+        """`doc` with the spans this backend predicted; its meta names the backend."""
+        return Document(id=doc.id, text=doc.text, entities=spans,
+                        meta={**doc.meta, "backend": self.name or self.kind})
+
 
 @dataclass(frozen=True)
 class Prediction:
-    doc_id: str
-    spans: tuple
+    document: Document  # the input document with the predicted entities
     latency_ms: float = 0.0
+    doc_id = property(lambda self: self.document.id)
+    spans = property(lambda self: self.document.entities)
 
 
 @dataclass
@@ -214,9 +211,10 @@ class _Wire:
 
 class _HttpWire(_Wire):
     """urllib blocks, so each request runs on a worker of its own, at most
-    `max_in_flight` at once."""
+    `max_in_flight` at once. The HTTP modules load with the first such wire."""
 
     def __init__(self, endpoint: str, timeout_ms: int, max_in_flight: int) -> None:
+        from concurrent.futures import ThreadPoolExecutor
         self.endpoint = endpoint
         self.timeout_s = timeout_ms / 1000.0
         self._pool = ThreadPoolExecutor(max_workers=max_in_flight)
@@ -226,10 +224,13 @@ class _HttpWire(_Wire):
         self._calls.add(self._pool.submit(self._post, payload))
 
     def receive(self, timeout: float) -> list:
+        from concurrent.futures import FIRST_COMPLETED, wait
         done, self._calls = wait(self._calls, timeout, return_when=FIRST_COMPLETED)
         return [reply for call in done if (reply := call.result()) is not None]
 
     def _post(self, payload: dict):
+        import http.client
+        import urllib.request
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         req = urllib.request.Request(self.endpoint, data=body,
                                      headers={"Content-Type": "application/json"})
@@ -314,39 +315,44 @@ def open_wire(backend: RecognizerBackend) -> _Wire:
 
 
 def align_token_predictions(token_records: Sequence[dict], text: str) -> list[EntitySpan]:
-    """Convert a token-labeled response into spans. Offsets are validated
-    against the request text; BIO errors are repaired leniently."""
-    toks = []
-    labels = []
+    """Convert a token-labeled response into spans. Offsets must be JSON
+    integers and match the request text; BIO errors are repaired leniently."""
+    if not isinstance(token_records, list):
+        raise TypeError("token records are not a JSON array")
+    toks, labels = [], []
     for rec in token_records:
-        surface, start, end = rec["surface"], rec["start"], rec["end"]
+        surface, start, end, label = rec["surface"], rec["start"], rec["end"], rec["label"]
+        if not (type(start) is type(end) is int  # as in decode_spans: no bools
+                and isinstance(surface, str) and isinstance(label, str)):
+            raise TypeError("token offsets must be integers, surface and label strings")
         if not (0 <= start < end <= len(text)) or text[start:end] != surface:
             raise SpanOutOfRange(f"token {surface!r} does not match text at {start}:{end}")
         toks.append(Token(surface, start, end))
-        labels.append(rec["label"])
+        labels.append(label)
     seq = TokenSeq(tokens=tuple(toks), labels=tuple(labels))
     return bio_to_spans(seq, text, strict=False)
 
 
-def _parse_response(doc: Document, resp: dict, schema: TagSchema) -> tuple:
-    """One reply's spans, decoded as JSONL entities are, or from BIO tokens:
-    SpanOutOfRange for a span that cannot index the text, else ProtocolViolation."""
+def _parse_response(doc: Document, resp: dict, backend: RecognizerBackend) -> Document:
+    """The document one reply predicts, its spans decoded as JSONL entities are or from
+    BIO tokens: SpanOutOfRange for a span that cannot index the text, else ProtocolViolation."""
     try:
         if "spans" in resp:
-            spans = Document(id=doc.id, text=doc.text,
-                             entities=decode_spans(resp["spans"], doc.text)).entities
+            spans = decode_spans(resp["spans"], doc.text)
         elif "tokens" in resp:
             spans = align_token_predictions(resp["tokens"], doc.text)
         else:
             raise ProtocolViolation("response carries neither spans nor tokens")
+        predicted = backend.predicted(doc, spans)
     except SpanOutOfRange:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolViolation(f"malformed reply: {type(exc).__name__}: {exc}") from exc
-    for span in spans:
+    schema = backend.schema
+    for span in predicted.entities:
         if span.tag not in schema:
             raise ProtocolViolation(f"tag {span.tag!r} outside backend schema {schema.name!r}")
-    return tuple(spans)
+    return predicted
 
 
 def _call_each(wire, items: list, payload_of, parse, backend: RecognizerBackend):
@@ -418,13 +424,13 @@ def recognize_external(docs: Union[Corpus, Sequence[Document]],
     outcomes, retries = _call_each(
         open_wire(backend), doc_list,
         lambda doc: {"id": doc.id, "text": doc.text, "schema": schema_tags},
-        lambda doc, resp: _parse_response(doc, resp, backend.schema),
+        lambda doc, resp: _parse_response(doc, resp, backend),
         backend,
     )
     result = ExternalRunResult(retries=retries)
-    for doc, (spans, reason, latency) in zip(doc_list, outcomes):
+    for doc, (predicted, reason, latency) in zip(doc_list, outcomes):
         if reason is None:
-            result.predictions.append(Prediction(doc_id=doc.id, spans=spans, latency_ms=latency))
+            result.predictions.append(Prediction(predicted, latency))
         else:
             result.excluded.append((doc.id, reason))
     return result
@@ -438,9 +444,7 @@ def recognize_corpus(corpus: Corpus, backend: RecognizerBackend,
         for doc in corpus:
             t0 = time.monotonic()
             spans = recognize_rules(doc.text, rulebook)
-            result.predictions.append(
-                Prediction(doc_id=doc.id, spans=tuple(spans),
-                           latency_ms=(time.monotonic() - t0) * 1000.0)
-            )
+            latency_ms = (time.monotonic() - t0) * 1000.0
+            result.predictions.append(Prediction(backend.predicted(doc, spans), latency_ms))
         return result
     return recognize_external(corpus, backend)

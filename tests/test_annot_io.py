@@ -156,6 +156,11 @@ def test_jsonl_bad_lines():
         read_jsonl('{"text": "missing id"}\n')
     with pytest.raises(BadRecordLine):
         read_jsonl('{"id": "d", "text": "ab", "entities": [{"start": 0, "end": 9, "tag": "ID"}]}\n')
+    # an entity container that is not an array is refused, not read as "no entities"
+    for entities in ("{}", '""', "null", '{"start": 0, "end": 1, "tag": "ID"}'):
+        with pytest.raises(BadRecordLine, match="^line 2: entity records are not a JSON array$"):
+            read_jsonl(f'{{"id": "a", "text": "ab"}}\n{{"id": "d", "text": "ab", "entities": {entities}}}\n')
+    assert read_jsonl('{"id": "d", "text": "ab", "entities": []}\n').documents[0].entities == ()
 
 
 @given(st.text(st.characters(exclude_categories=())))

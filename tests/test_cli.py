@@ -227,6 +227,19 @@ def test_recognize_env_override(tmp_path, corpus_path, mock_cmd, monkeypatch):
     assert str(tmp_path) not in pred.read_text()
 
 
+@pytest.mark.parametrize("backend", ["rules", "mock"])
+def test_recognize_builds_each_document_twice(tmp_path, corpus_path, mock_cmd, monkeypatch,
+                                              backend):
+    # once when read, once as the prediction: the wire's checked document is
+    # the one written, not rebuilt
+    endpoint = f"{mock_cmd} --gold {corpus_path}" if backend == "mock" else backend
+    built, real = [], Document.__post_init__
+    monkeypatch.setattr(Document, "__post_init__", lambda doc: built.append(doc.id) or real(doc))
+    assert run("recognize", "--in", corpus_path, "--out", tmp_path / "pred.jsonl",
+               "--backend", endpoint) == 0
+    assert sorted(built) == ["d1", "d1", "d2", "d2"]
+
+
 def test_recognize_dead_backend_excludes_all(tmp_path, corpus_path):
     pred, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
     assert run("recognize", "--in", corpus_path, "--out", pred,

@@ -1,6 +1,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,74 @@ def test_mock_backend_imports_no_other_module():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout.split()
     assert sorted(out) == ["deidkit", "deidkit.mock_backend"]
+
+
+# modules a subcommand pays for only when it runs the code that needs them
+HEAVY = {"numpy", "http.client", "urllib.request", "concurrent.futures", "deidkit.syngen"}
+
+
+def modules_after(code: str, tmp_path) -> set:
+    """The modules a fresh interpreter holds after running `code`."""
+    listing = tmp_path / "modules.txt"
+    probe = f"{code}\nimport sys\nopen({str(listing)!r}, 'w').write(' '.join(sys.modules))"
+    subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True)
+    return set(listing.read_text().split())
+
+
+def test_cli_parser_imports_no_heavy_module(tmp_path):
+    loaded = modules_after("import deidkit.cli; deidkit.cli.build_parser()", tmp_path)
+    assert "deidkit.cli" in loaded and not loaded & HEAVY
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["recognize", "--backend", "rules", "--in", "{a}", "--out", "{out}.jsonl"], set()),
+    (["evaluate", "--gold", "{a}", "--pred", "{a}", "--out", "{out}.json"], set()),
+    (["ngrams", "--in", "{a}", "--n", "2", "--out", "{out}.csv"], set()),
+    (["stats", "--in", "{a}", "--out", "{out}.json"], {"numpy"}),
+    (["compare", "--a", "{a}", "--b", "{b}", "--bertscore", "--out", "{out}.json"],
+     {"numpy", "deidkit.syngen"}),
+], ids=["recognize", "evaluate", "ngrams", "stats", "compare"])
+def test_subcommand_loads_heavy_modules_only_if_it_runs_them(tmp_path, sample_corpus, argv,
+                                                             loads):
+    from deidkit.annot_io import write_corpus
+    from deidkit.cli import main
+    from deidkit.core import Corpus
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_corpus(sample_corpus, a)
+    write_corpus(Corpus(documents=sample_corpus.documents[:1]), b)
+    fresh, here = ([arg.format(a=a, b=b, out=tmp_path / name) for arg in argv]
+                   for name in ("fresh", "here"))
+    loaded = modules_after(f"from deidkit.cli import main; assert main({fresh!r}) == 0", tmp_path)
+    assert loaded & HEAVY == loads
+    # the same bytes as a run in this process, where numpy was imported up front
+    assert main(here) == 0
+    assert Path(fresh[-1]).read_bytes() == Path(here[-1]).read_bytes()
+
+
+def test_cli_choices_are_the_module_constants():
+    # the parser spells these out so that building it imports none of the modules
+    from deidkit import corpusstats, evalmetrics, surrogate
+    from deidkit.cli import build_parser
+
+    parser = build_parser()
+    for argv, dest, values in (
+        (["deidentify", "--in", "x", "--out", "y"], "mode", [surrogate.SURROGATE, surrogate.REDACT]),
+        (["evaluate", "--gold", "x", "--pred", "y"], "mode",
+         [evalmetrics.TOKEN, evalmetrics.ENTITY_STRICT]),
+        (["ngrams", "--in", "x", "--n", "1"], "scope",
+         [corpusstats.WHOLE_TEXT, corpusstats.PHI_ADJACENT]),
+    ):
+        assert getattr(parser.parse_args(argv), dest) == values[0]  # the default
+        for value in values:
+            assert getattr(parser.parse_args([*argv, f"--{dest}", value]), dest) == value
+
+
+def test_backend_errors_are_core_classes_under_their_old_names():
+    from deidkit import core, recognize
+
+    assert recognize.BackendTimeout is core.BackendTimeout
+    assert recognize.ProtocolViolation is core.ProtocolViolation
 
 
 def test_lazy_table_resolves_every_public_name():

@@ -216,7 +216,8 @@ def test_span_records_decode_as_the_two_old_decoders_did(case):
     # handled, and an exclusion where it aborted the run
     doc = Document(id="d", text=text)
     try:
-        new = "accept", _parse_response(doc, {"id": "d", "spans": records}, CANONICAL_SCHEMA)
+        reply = {"id": "d", "spans": records}
+        new = "accept", _parse_response(doc, reply, RecognizerBackend(EXTERNAL, "x")).entities
     except (ProtocolViolation, SpanOutOfRange) as exc:
         new = "exclude", type(exc).__name__
     old = _old_wire_verdict(doc, records)
@@ -249,8 +250,17 @@ for line in sys.stdin:
     {"tokens": [{"surface": "Rao", "start": 5, "end": 8, "label": "O"},
                 {"surface": "Asha", "start": 0, "end": 4, "label": "O"}]},
     {"tokens": [{"surface": "Asha", "start": 0, "end": 4, "label": 7}]},
+    {"spans": {}},
+    {"spans": ""},
+    {"tokens": {}},
+    {"tokens": ""},
+    {"tokens": [{"surface": "A", "start": False, "end": True, "label": "B-PATIENT"}]},
+    {"tokens": [{"surface": "Asha", "start": 0.0, "end": 4.0, "label": "B-PATIENT"}]},
+    {"tokens": [{"surface": 4, "start": 0, "end": 4, "label": "O"}]},
 ], ids=["span-without-start", "span-not-object", "spans-not-list", "span-bool-offsets",
-        "token-label-q", "tokens-out-of-order", "token-label-int"])
+        "token-label-q", "tokens-out-of-order", "token-label-int", "spans-object",
+        "spans-string", "tokens-object", "tokens-string", "token-bool-offsets",
+        "token-float-offsets", "token-surface-int"])
 def test_malformed_reply_excludes_only_its_document(tmp_path, reply):
     script = tmp_path / "backend.py"
     script.write_text(SCRIPTED_BACKEND)
