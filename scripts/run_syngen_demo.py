@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from deidkit import GenerationJob, load_template, read_corpus, run_generation_job
+from deidkit.corpusstats import score_generation_quality
 from deidkit.recognize import EXTERNAL, RecognizerBackend
-from deidkit.syngen import score_generation_quality
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in {
     "core": "CANONICAL_SCHEMA CANONICAL_TAGS Corpus DeidError Document EntitySpan TagSchema "
-            "Token TokenSeq bio_to_spans build_schema spans_to_bio tokenize",
+            "Token bio_to_spans build_schema spans_to_bio tokenize",
     "annot_io": "parse_inline_xml read_conll read_corpus read_jsonl write_conll write_corpus "
                 "write_inline_xml write_jsonl",
     "tagmap": "COMMERCIAL_SCHEMA MappingAudit NormalizationPolicy TagMap apply_tagmap "
@@ -25,9 +25,9 @@ _MODULE_OF = {name: module for module, names in {
     "evalmetrics": "ENTITY_STRICT TOKEN AgreementReport ConfusionMatrix MetricsReport "
                    "cohens_kappa evaluate review_metrics_from_counts",
     "corpusstats": "CorpusSummary bertscore_greedy class_weights jaccard_distance ngram_profile "
-                   "split summarize tag_weight",
+                   "score_generation_quality split summarize tag_weight",
     "syngen": "FilterPolicy GenerationJob PromptTemplate filter_outputs generate load_template "
-              "run_generation_job score_generation_quality",
+              "run_generation_job",
 }.items() for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

@@ -27,12 +27,13 @@ from .core import (
     Document,
     EntitySpan,
     TagSchema,
-    TokenSeq,
     Token,
     UnknownTag,
     bio_to_spans,
     build_schema,
+    is_bio_label,
     spans_to_bio,
+    tokenize,
 )
 
 
@@ -172,8 +173,7 @@ def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
         for t in tokens:
             toks.append(Token(t, pos, pos + len(t)))
             pos += len(t) + 1
-        seq = TokenSeq(tokens=tuple(toks), labels=tuple(labels))
-        spans = bio_to_spans(seq, text, strict=strict)
+        spans = bio_to_spans(toks, labels, text, strict=strict)
         docs.append(Document(id=f"doc-{len(docs)}", text=text, entities=tuple(spans)))
         tokens.clear()
         labels.clear()
@@ -188,7 +188,7 @@ def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
         tok, lab = cols
         if not tok:
             raise BadColumnCount(f"line {lineno}: empty token")
-        if lab != "O" and not (lab.startswith(("B-", "I-")) and len(lab) > 2):
+        if not is_bio_label(lab):
             raise InvalidLabel(f"line {lineno}: bad label {lab!r}")
         tokens.append(tok)
         labels.append(lab)
@@ -201,8 +201,8 @@ def write_conll(corpus: Corpus) -> str:
     entities must be token-aligned."""
     blocks: list[str] = []
     for doc in corpus:
-        seq = spans_to_bio(doc)
-        lines = [f"{tok.surface}\t{lab}" for tok, lab in zip(seq.tokens, seq.labels or ())]
+        toks = tokenize(doc.text)
+        lines = [f"{tok.surface}\t{lab}" for tok, lab in zip(toks, spans_to_bio(doc, toks))]
         blocks.append("\n".join(lines))
     if not blocks:
         return ""

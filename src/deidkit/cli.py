@@ -30,7 +30,13 @@ ENV_BACKEND = "DEIDKIT_BACKEND"
 
 
 class ConfigError(DeidError):
-    """A pipeline config file with unknown keys or missing files."""
+    """A pipeline config file with unknown keys, mistyped values or missing files."""
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,7 +51,7 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         from . import surrogate, syngen
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config {path}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -54,10 +60,13 @@ class PipelineConfig:
             ("surrogate", {f.name for f in dataclasses.fields(surrogate.SurrogateConfig)}),
             ("filter", {f.name for f in dataclasses.fields(syngen.FilterPolicy)}),
         ):
-            extra = set(data.get(section, {})) - allowed
+            extra = set(_json_object(data.get(section, {}), f"config {section}")) - allowed
             if extra:
                 raise ConfigError(f"unknown {section} config keys: {sorted(extra)}")
-        for lex in data.get("surrogate", {}).get("locale_lexicons", {}).values():
+        if type(data.get("concurrency", 0)) is not int:  # bool is no concurrency either
+            raise ConfigError(f"config concurrency {data['concurrency']!r} is not an integer")
+        lexicons = data.get("surrogate", {}).get("locale_lexicons", {})
+        for lex in _json_object(lexicons, "config locale_lexicons").values():
             if "/" in lex and not Path(lex).is_file():
                 raise ConfigError(f"lexicon file not found: {lex}")
         return cls(**data)
@@ -162,7 +171,7 @@ def cmd_recognize(args) -> int:
     backend = _backend_from_args(args, config)
     result = recognize.recognize_corpus(corpus, backend)
     docs = tuple(p.document for p in result.predictions)
-    annot_io.write_corpus(Corpus(documents=docs, schema=backend.schema), args.out)
+    annot_io.write_corpus(Corpus(documents=docs), args.out)
     if args.report:
         _write_json(
             {"predicted": len(result.predictions),
@@ -245,8 +254,7 @@ def cmd_compare(args) -> int:
         "b": corpusstats.summary_to_dict(corpusstats.summarize(b)),
     }
     if args.bertscore:
-        from . import syngen
-        payload["bertscore"] = syngen.score_generation_quality(a, b)
+        payload["bertscore"] = corpusstats.score_generation_quality(a, b)
     _write_json(payload, args.out)
     return 0
 
@@ -314,11 +322,14 @@ def cmd_filter(args) -> int:
 
 def cmd_run_matrix(args) -> int:
     from . import corpusstats, evalmetrics, recognize
-    grid = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
+    grid = _json_object(json.loads(Path(args.matrix).read_text(encoding="utf-8")),
+                        f"matrix {args.matrix}")
     allowed = {"train_sets", "test_sets", "mode", "out_dir", "backend"}
     unknown = set(grid) - allowed
     if unknown:
         raise ConfigError(f"unknown matrix keys: {sorted(unknown)}")
+    for key in ("test_sets", "train_sets"):
+        _json_object(grid[key], f"matrix {key}")
     out_dir = Path(args.out_dir or grid.get("out_dir", "matrix-out"))
     mode = grid.get("mode", evalmetrics.TOKEN)
     backend = _backend_from_args(args, PipelineConfig(backend=grid.get("backend", "rules")))

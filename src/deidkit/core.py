@@ -4,7 +4,9 @@ Everything downstream (parsers, surrogate replacement, recognizers,
 metrics) operates on these types. Offsets are character offsets into the
 document text, never byte offsets. All types are immutable after
 construction, so they can be shared freely across threads; the operations
-in this module are pure functions.
+in this module are pure functions. A tokenization is a plain tuple of
+`Token`s from `tokenize`; BIO labels travel beside it as a separate
+sequence, one label per token.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ class DeidError(Exception):
 
 class EntityTokenMisalignment(DeidError):
     """An entity boundary falls strictly inside a token."""
-
-    def __init__(self, message: str, doc_id: str = "", start: int = -1, end: int = -1):
-        super().__init__(message)
-        self.doc_id = doc_id
-        self.start = start
-        self.end = end
 
 
 class InvalidBioSequence(DeidError):
@@ -185,61 +181,23 @@ class Token(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """Ordered, non-overlapping tokens with optional one-label-per-token
-    B/I/O labels.
-
-    Label syntax is validated at construction; transition validity (no
-    dangling I) is enforced by the strict conversion paths, because the
-    lenient repair path must be able to hold an invalid sequence first.
-    """
-
-    tokens: tuple[Token, ...]
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        prev_end = -1
-        for tok in self.tokens:
-            if tok.start < prev_end:
-                raise ValueError(f"tokens overlap or are unordered at offset {tok.start}")
-            if tok.start >= tok.end:
-                raise ValueError(f"empty token at offset {tok.start}")
-            prev_end = tok.end
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != len(self.tokens):
-                raise ValueError(f"{len(labels)} labels for {len(self.tokens)} tokens")
-            for lab in labels:
-                if lab != "O" and not (isinstance(lab, str) and lab[:2] in ("B-", "I-") and lab[2:]):
-                    raise ValueError(f"bad label {lab!r}")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-
 # For str patterns [^\W_] is exactly str.isalnum and \s exactly str.isspace.
 # A token runs from an alnum character to the last alnum before the next
 # whitespace, or is a maximal run of other non-whitespace characters.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|(?:[^\w\s]|_)+")
 
 
-def tokenize(text: str) -> TokenSeq:
+def tokenize(text: str) -> tuple[Token, ...]:
     """Split text into tokens on whitespace, peeling leading/trailing
     punctuation runs off each chunk as their own tokens.
 
     Word-internal punctuation is kept, so "120/80" and "25-08-2023" stay
     single tokens while "Dr." splits into "Dr" + ".". `_TOKEN` is the one
-    definition of a token. The token offsets partition the non-whitespace
-    characters exactly, so joining tokens with the original gaps
-    reproduces the text.
+    definition of a token. The tokens are non-empty, in start order and
+    disjoint; their offsets partition the non-whitespace characters
+    exactly, so joining tokens with the original gaps reproduces the text.
     """
-    return TokenSeq(tokens=tuple(Token(m.group(), *m.span()) for m in _TOKEN.finditer(text)))
+    return tuple(Token(m.group(), *m.span()) for m in _TOKEN.finditer(text))
 
 
 def token_surfaces(text: str) -> list[str]:
@@ -252,7 +210,7 @@ def first_overlaps(tokens: Sequence[Token],
     """For each token, the first span in `spans` that overlaps it, or None.
 
     Relies on two orderings the caller establishes: `tokens` sorted by start
-    (TokenSeq guarantees it) and `spans` sorted by (start, -len). A span
+    (tokenize gives that order) and `spans` sorted by (start, -len). A span
     with end <= tok.start is then dead for every later token, so one
     pointer skips it for good; the first live span overlaps the token or
     starts at or after its end, as every later span does. Spans may overlap
@@ -268,9 +226,10 @@ def first_overlaps(tokens: Sequence[Token],
     return out
 
 
-def spans_to_bio(doc: Document, toks: Optional[TokenSeq] = None) -> TokenSeq:
-    """Label each token: B-tag on the token holding an entity's first
-    character, I-tag on the remaining overlapped tokens, O elsewhere.
+def spans_to_bio(doc: Document, toks: Optional[Sequence[Token]] = None) -> list[str]:
+    """One label per token of `toks` (default: tokenize(doc.text)): B-tag on
+    the token holding an entity's first character, I-tag on the remaining
+    overlapped tokens, O elsewhere.
 
     Raises EntityTokenMisalignment when an entity boundary falls strictly
     inside a token; the caller decides whether to re-tokenize or reject.
@@ -280,37 +239,40 @@ def spans_to_bio(doc: Document, toks: Optional[TokenSeq] = None) -> TokenSeq:
     labels = ["O"] * len(toks)
     # Document entities are sorted by start and disjoint, which is the
     # (start, -len) order first_overlaps needs
-    hits = first_overlaps(toks.tokens, doc.entities)
-    for t_i, (tok, ent) in enumerate(zip(toks.tokens, hits)):
+    hits = first_overlaps(toks, doc.entities)
+    for t_i, (tok, ent) in enumerate(zip(toks, hits)):
         if ent is None:
             continue
         if tok.start < ent.start or ent.end < tok.end:
             raise EntityTokenMisalignment(
                 f"doc {doc.id!r}: entity [{ent.start},{ent.end}) splits token "
-                f"{tok.surface!r} [{tok.start},{tok.end})",
-                doc_id=doc.id,
-                start=ent.start,
-                end=ent.end,
-            )
+                f"{tok.surface!r} [{tok.start},{tok.end})")
         prefix = "B" if tok.start == ent.start else "I"
         labels[t_i] = f"{prefix}-{ent.tag}"
-    return TokenSeq(tokens=toks.tokens, labels=tuple(labels))
+    return labels
+
+
+def is_bio_label(label: str) -> bool:
+    """True for "O" and for "B-tag" or "I-tag" with a non-empty tag."""
+    return label == "O" or (label[:2] in ("B-", "I-") and len(label) > 2)
 
 
 def bio_to_spans(
-    toks: TokenSeq,
+    toks: Sequence[Token],
+    labels: Sequence[str],
     text: str,
     strict: bool = True,
     repairs: Optional[list] = None,
 ) -> list[EntitySpan]:
-    """Collapse maximal B/I runs into entity spans over `text`.
+    """Collapse maximal B/I runs of `labels`, one per token of `toks`, into
+    entity spans over `text`. The caller vouches for the tokens (in start
+    order, disjoint) and the label syntax (is_bio_label); a count mismatch
+    is a ValueError.
 
     Strict mode raises InvalidBioSequence on a dangling I-tag. Lenient mode
     treats it as the start of a new entity and records the repair (appended
     to `repairs` when given, logged otherwise).
     """
-    if toks.labels is None:
-        raise ValueError("token sequence has no labels")
     spans: list[EntitySpan] = []
     run_start: Optional[int] = None
     run_end = 0
@@ -324,7 +286,7 @@ def bio_to_spans(
             )
             run_start = None
 
-    for i, (tok, lab) in enumerate(zip(toks.tokens, toks.labels)):
+    for i, (tok, lab) in enumerate(zip(toks, labels, strict=True)):
         if lab == "O":
             flush()
             continue

@@ -1,8 +1,9 @@
 """Corpus profiling and cross-corpus comparison.
 
 Summary statistics, n-gram profiles (whole-text or near-PHI), vocabulary
-Jaccard distance, greedy-matching BERTScore, class weights for imbalanced
-token classification, and deterministic train/val/test splits.
+Jaccard distance, greedy-matching BERTScore and the generation-quality
+score built on it, class weights for imbalanced token classification, and
+deterministic train/val/test splits.
 
 Conventions that matter downstream: token counts use the core tokenizer;
 vocabularies are case-sensitive; n-gram tokens are lowercased with
@@ -139,7 +140,7 @@ def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
         phi = [ent for ent in doc.entities if ent.tag != other]
         cleaned: list[str] = []
         near: list[bool] = []
-        for tok, hit in zip(toks.tokens, first_overlaps(toks.tokens, phi)):
+        for tok, hit in zip(toks, first_overlaps(toks, phi)):
             c = _clean_token(tok.surface)
             if not c or c in stop:
                 continue
@@ -242,6 +243,34 @@ def hash_embedding(tokens: Sequence[str], dim: int = 32) -> np.ndarray:
     contextual embedding backend."""
     import numpy as np
     return np.asarray([hash_vector(t, dim) for t in tokens], dtype=float).reshape(len(tokens), dim)
+
+
+def score_generation_quality(generated: Corpus, reference: Corpus) -> dict:
+    """Mean greedy-BERTScore F1 of each generated doc against its source
+    exemplar (by meta, falling back to a deterministic reference pick) plus
+    mean token length."""
+    if len(generated) == 0 or len(reference) == 0:
+        raise EmptyCorpus("both corpora must be non-empty")
+    ref_ids = {doc.id: doc for doc in reference}
+    ref_list = sorted(reference, key=lambda d: d.id)
+    f1s = []
+    lengths = []
+    for i, doc in enumerate(generated):
+        toks = token_surfaces(doc.text)
+        lengths.append(len(toks))
+        source = ref_ids.get(doc.meta.get("exemplar", ""))
+        if source is None:
+            source = ref_list[i % len(ref_list)]
+        ref_toks = token_surfaces(source.text)
+        if not toks or not ref_toks:
+            f1s.append(0.0)
+            continue
+        score = bertscore_greedy(hash_embedding(toks), hash_embedding(ref_toks))
+        f1s.append(score["f1"])
+    return {
+        "bert_f1_mean": sum(f1s) / len(f1s),
+        "avg_length_words": sum(lengths) / len(lengths),
+    }
 
 
 # --- class weights ---------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, tokenize
+from .core import Corpus, DeidError, EntitySpan, TagSchema, Token, first_overlaps, tokenize
 
 TOKEN = "token"
 ENTITY_STRICT = "entity_strict"
@@ -156,15 +156,16 @@ def _as_pred_map(pred: Union[Corpus, PredMap]) -> PredMap:
 
 
 def label_tokens(doc_text: str, spans: Sequence[EntitySpan], other: str,
-                 toks=None) -> list:
-    """Tag per token by overlap: a token takes the tag of the span covering
-    it, earliest-starting (then longest) span first. Tolerates spans that
-    are unsorted, overlapping or not aligned to token boundaries."""
+                 toks: Optional[Sequence[Token]] = None) -> list:
+    """Tag per token of `toks` (default: tokenize(doc_text)) by overlap: a
+    token takes the tag of the span covering it, earliest-starting (then
+    longest) span first. Tolerates spans that are unsorted, overlapping or
+    not aligned to token boundaries."""
     if toks is None:
         toks = tokenize(doc_text)
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     return [other if span is None else span.tag
-            for span in first_overlaps(toks.tokens, ordered)]
+            for span in first_overlaps(toks, ordered)]
 
 
 def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],

@@ -41,10 +41,9 @@ from .core import (
     EntitySpan,
     ProtocolViolation,
     SpanOutOfRange,
-    TagSchema,
     Token,
-    TokenSeq,
     bio_to_spans,
+    is_bio_label,
 )
 from .surrogate import load_lexicon
 
@@ -154,7 +153,6 @@ class RecognizerBackend:
     endpoint: str = ""  # http(s) URL or subprocess command line
     timeout_ms: int = 10_000
     retry: int = 0
-    schema: TagSchema = CANONICAL_SCHEMA
     name: str = ""
     max_in_flight: int = 4
 
@@ -316,7 +314,8 @@ def open_wire(backend: RecognizerBackend) -> _Wire:
 
 def align_token_predictions(token_records: Sequence[dict], text: str) -> list[EntitySpan]:
     """Convert a token-labeled response into spans. Offsets must be JSON
-    integers and match the request text; BIO errors are repaired leniently."""
+    integers and match the request text, tokens must be in start order and
+    disjoint, and labels B/I/O; BIO transition errors are repaired leniently."""
     if not isinstance(token_records, list):
         raise TypeError("token records are not a JSON array")
     toks, labels = [], []
@@ -329,8 +328,13 @@ def align_token_predictions(token_records: Sequence[dict], text: str) -> list[En
             raise SpanOutOfRange(f"token {surface!r} does not match text at {start}:{end}")
         toks.append(Token(surface, start, end))
         labels.append(label)
-    seq = TokenSeq(tokens=tuple(toks), labels=tuple(labels))
-    return bio_to_spans(seq, text, strict=False)
+    for prev, tok in zip(toks, toks[1:]):
+        if tok.start < prev.end:
+            raise ValueError(f"tokens overlap or are unordered at offset {tok.start}")
+    for label in labels:
+        if not is_bio_label(label):
+            raise ValueError(f"bad label {label!r}")
+    return bio_to_spans(toks, labels, text, strict=False)
 
 
 def _parse_response(doc: Document, resp: dict, backend: RecognizerBackend) -> Document:
@@ -348,10 +352,10 @@ def _parse_response(doc: Document, resp: dict, backend: RecognizerBackend) -> Do
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolViolation(f"malformed reply: {type(exc).__name__}: {exc}") from exc
-    schema = backend.schema
     for span in predicted.entities:
-        if span.tag not in schema:
-            raise ProtocolViolation(f"tag {span.tag!r} outside backend schema {schema.name!r}")
+        if span.tag not in CANONICAL_SCHEMA:
+            raise ProtocolViolation(
+                f"tag {span.tag!r} outside backend schema {CANONICAL_SCHEMA.name!r}")
     return predicted
 
 
@@ -420,7 +424,7 @@ def recognize_external(docs: Union[Corpus, Sequence[Document]],
     input order regardless of completion order. #docs = #predictions +
     #excluded always holds."""
     doc_list = list(docs)
-    schema_tags = list(backend.schema.tags)
+    schema_tags = list(CANONICAL_SCHEMA.tags)
     outcomes, retries = _call_each(
         open_wire(backend), doc_list,
         lambda doc: {"id": doc.id, "text": doc.text, "schema": schema_tags},

@@ -30,7 +30,6 @@ from .annot_io import (
     write_jsonl,
 )
 from .core import Corpus, DeidError, Document, token_surfaces
-from .corpusstats import EmptyCorpus, bertscore_greedy, hash_embedding
 from .recognize import ProtocolViolation, RecognizerBackend, _call_each, open_wire
 from .tagmap import apply_tagmap, builtin_canonical_map
 
@@ -263,34 +262,6 @@ def filter_outputs(raw: dict,
     # corpus it returns is the one that checks them
     canonical, _audit = apply_tagmap(accepted, tag_map)
     return canonical, report
-
-
-def score_generation_quality(generated: Corpus, reference: Corpus) -> dict:
-    """Mean greedy-BERTScore F1 of each generated doc against its source
-    exemplar (by meta, falling back to a deterministic reference pick) plus
-    mean token length."""
-    if len(generated) == 0 or len(reference) == 0:
-        raise EmptyCorpus("both corpora must be non-empty")
-    ref_ids = {doc.id: doc for doc in reference}
-    ref_list = sorted(reference, key=lambda d: d.id)
-    f1s = []
-    lengths = []
-    for i, doc in enumerate(generated):
-        toks = token_surfaces(doc.text)
-        lengths.append(len(toks))
-        source = ref_ids.get(doc.meta.get("exemplar", ""))
-        if source is None:
-            source = ref_list[i % len(ref_list)]
-        ref_toks = token_surfaces(source.text)
-        if not toks or not ref_toks:
-            f1s.append(0.0)
-            continue
-        score = bertscore_greedy(hash_embedding(toks), hash_embedding(ref_toks))
-        f1s.append(score["f1"])
-    return {
-        "bert_f1_mean": sum(f1s) / len(f1s),
-        "avg_length_words": sum(lengths) / len(lengths),
-    }
 
 
 def write_filtered(corpus: Corpus, report: RejectReport, out_dir) -> None:

@@ -184,11 +184,16 @@ def load_tagmap(path) -> TagMap:
     rejected, so a misspelt "default" cannot quietly send every unlisted tag
     to OTHERS."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"tag map {path} is not a JSON object")
     allowed = {"rows", "default", "name"} if "rows" in payload else \
         {"rules", "target", "default", "name"}
     extra = set(payload) - allowed
     if extra:
         raise ValueError(f"unknown tag map keys {sorted(extra)}; allowed: {sorted(allowed)}")
+    table = "rows" if "rows" in payload else "rules"
+    if not isinstance(payload[table], dict):
+        raise ValueError(f"tag map {table} is not a JSON object")
     if "rows" in payload:
         rules = _flatten_rows(payload["rows"])
         targets = list(payload["rows"])

@@ -29,7 +29,6 @@ from deidkit.core import (
     EntitySpan,
     InvalidBioSequence,
     Token,
-    TokenSeq,
     tokenize,
 )
 from deidkit.recognize import ProtocolViolation, SpanOutOfRange, default_rulebook
@@ -50,7 +49,7 @@ PHI_TAGS = [t for t in CANONICAL_SCHEMA.tags if t != CANONICAL_SCHEMA.other]
 
 # --- tokenizer and per-character counts, one character at a time -----------
 
-def oracle_tokenize(text: str) -> TokenSeq:
+def oracle_tokenize(text: str) -> tuple:
     """Whitespace chunks, each with its leading and trailing non-alnum runs
     peeled off as their own tokens."""
     tokens: list = []
@@ -78,7 +77,7 @@ def oracle_tokenize(text: str) -> TokenSeq:
             if b < j:
                 tokens.append(Token(text[b:j], b, j))
         i = j
-    return TokenSeq(tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 def oracle_clean_token(surface: str) -> str:
@@ -105,7 +104,7 @@ def oracle_repeat_ratio(surfaces: list) -> float:
 def oracle_gate_reason(text: str, policy):
     """The reject code of the length, printable and repetition gates, in
     filter order, for a parsed document's text; None when all pass."""
-    surfaces = oracle_tokenize(text).surfaces()
+    surfaces = [tok.surface for tok in oracle_tokenize(text)]
     lo, hi = policy.length_bounds
     if not (lo <= len(surfaces) <= hi):
         return LENGTH_OUT_OF_BOUNDS
@@ -192,7 +191,7 @@ def random_doc(rng: random.Random, doc_id: str, max_tokens: int = 60,
     n_tokens = rng.randint(1, max_tokens)
     words = [random_word(rng) for _ in range(n_tokens)]
     text = " ".join(words)
-    toks = tokenize(text).tokens
+    toks = tokenize(text)
 
     spans = []
     i = 0
@@ -229,7 +228,7 @@ def random_pair(rng: random.Random, max_docs: int = 20, max_tokens: int = 60):
 def random_doc_spans_for(doc: Document, rng: random.Random):
     """Fresh disjoint spans over an existing text, sometimes off token
     boundaries, sometimes copying a gold span with a different tag."""
-    toks = tokenize(doc.text).tokens
+    toks = tokenize(doc.text)
     spans = []
     i = 0
     while i < len(toks):
@@ -272,7 +271,7 @@ def oracle_token_confusion(gold: Corpus, preds: dict) -> dict:
     for doc in gold:
         g = char_tags(doc.text, doc.entities, other)
         p = char_tags(doc.text, preds[doc.id], other)
-        for tok in tokenize(doc.text).tokens:
+        for tok in tokenize(doc.text):
             key = (token_label_by_chars(tok, g, other),
                    token_label_by_chars(tok, p, other))
             counts[key] = counts.get(key, 0) + 1
@@ -337,7 +336,7 @@ def oracle_label_tokens(doc_text: str, spans, other: str, toks=None) -> list:
         toks = tokenize(doc_text)
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     labels = []
-    for tok in toks.tokens:
+    for tok in toks:
         label = other
         for span in ordered:
             if span.start >= tok.end:
@@ -462,12 +461,10 @@ def oracle_validate_spans(doc: Document, raw_spans, schema) -> tuple:
     return tuple(spans)
 
 
-def oracle_check_bio(seq: TokenSeq) -> None:
+def oracle_check_bio(labels) -> None:
     """Raise InvalidBioSequence on any I-tag without a matching B/I before it."""
-    if seq.labels is None:
-        return
     prev = "O"
-    for i, lab in enumerate(seq.labels):
+    for i, lab in enumerate(labels):
         if lab.startswith("I-"):
             tag = lab[2:]
             if prev == "O" or prev[2:] != tag:
@@ -509,7 +506,7 @@ def oracle_phi_adjacent_counts(corpus: Corpus, n: int, window: int, stoplist=())
     for doc in corpus:
         ctags = char_tags(doc.text, doc.entities, other)
         kept = []
-        for tok in tokenize(doc.text).tokens:
+        for tok in tokenize(doc.text):
             c = oracle_clean_token(tok.surface)
             if c and c not in stop:
                 kept.append((c, token_label_by_chars(tok, ctags, other) != other))

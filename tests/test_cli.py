@@ -545,6 +545,32 @@ def test_config_feeds_deidentify(tmp_path, corpus_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["deidentify", "--config", "{cfg}"], []),
+    (["deidentify", "--config", "{cfg}"], {"surrogate": []}),
+    (["deidentify", "--config", "{cfg}"], {"surrogate": {"locale_lexicons": []}}),
+    (["recognize", "--config", "{cfg}", "--backend", "{mock}"], {"concurrency": "4"}),
+    (["map-tags", "--map", "{cfg}"], []),
+    (["map-tags", "--map", "{cfg}"], {"rows": []}),
+    (["map-tags", "--map", "{cfg}"], {"rules": ["DATE"]}),
+    (["run-matrix", "{cfg}"], []),
+    (["run-matrix", "{cfg}"], {"train_sets": [], "test_sets": {}}),
+    (["run-matrix", "{cfg}"], {"train_sets": {}, "test_sets": "a.jsonl"}),
+], ids=["deidentify-list", "deidentify-surrogate-list", "deidentify-lexicons-list",
+        "recognize-concurrency-str", "map-list", "map-rows-list", "map-rules-list",
+        "matrix-list", "matrix-train-list", "matrix-test-str"])
+def test_malformed_config_file_exits_one(tmp_path, corpus_path, mock_cmd, caplog, argv,
+                                         payload):
+    # valid JSON of the wrong shape is a one-line error, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    argv = [arg.format(cfg=cfg, mock=mock_cmd) for arg in argv]
+    if argv[0] != "run-matrix":
+        argv += ["--in", str(corpus_path), "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 1
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+
 def test_console_entry_point():
     import subprocess
 

@@ -11,7 +11,6 @@ from deidkit.core import (
     EntitySpan,
     EntityTokenMisalignment,
     InvalidBioSequence,
-    TokenSeq,
     bio_to_spans,
     build_schema,
     spans_to_bio,
@@ -22,11 +21,11 @@ from _oracles import oracle_check_bio, random_doc
 
 
 def offsets(text):
-    return [(t.start, t.end) for t in tokenize(text).tokens]
+    return [(t.start, t.end) for t in tokenize(text)]
 
 
 def surfaces(text):
-    return tokenize(text).surfaces()
+    return [t.surface for t in tokenize(text)]
 
 
 def test_canonical_schema_shape():
@@ -67,7 +66,7 @@ def test_tokenize_internal_punctuation_kept():
 
 @given(st.text(min_size=0, max_size=80))
 def test_tokenize_partitions_text(text):
-    toks = tokenize(text).tokens
+    toks = tokenize(text)
     prev = 0
     for tok in toks:
         assert prev <= tok.start < tok.end <= len(text)
@@ -128,8 +127,8 @@ def test_build_schema_appends_other():
 
 
 def test_spans_to_bio_hand_case(sample_doc):
-    seq = spans_to_bio(sample_doc)
-    by_surface = dict(zip(seq.surfaces(), seq.labels))
+    labels = spans_to_bio(sample_doc)
+    by_surface = dict(zip(surfaces(sample_doc.text), labels))
     assert by_surface["Asha"] == "B-PATIENT"
     assert by_surface["Rao"] == "I-PATIENT"
     assert by_surface["42"] == "B-AGE"
@@ -143,40 +142,36 @@ def test_spans_to_bio_misalignment():
 
 
 def test_bio_to_spans_strict_rejects_dangling_i():
-    toks = tokenize("a b")
-    seq = TokenSeq(tokens=toks.tokens, labels=("O", "I-DATE"))
     with pytest.raises(InvalidBioSequence):
-        bio_to_spans(seq, "a b", strict=True)
+        bio_to_spans(tokenize("a b"), ("O", "I-DATE"), "a b", strict=True)
 
 
 def test_bio_to_spans_lenient_repairs_dangling_i():
-    toks = tokenize("a b c")
-    seq = TokenSeq(tokens=toks.tokens, labels=("O", "I-DATE", "I-DATE"))
     repairs = []
-    spans = bio_to_spans(seq, "a b c", strict=False, repairs=repairs)
+    spans = bio_to_spans(tokenize("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
+                         repairs=repairs)
     assert [(s.start, s.end, s.tag) for s in spans] == [(2, 5, "DATE")]
     assert len(repairs) == 1
 
 
 def test_bio_adjacent_entities_stay_separate():
     text = "x y"
-    seq = TokenSeq(tokens=tokenize(text).tokens, labels=("B-ID", "B-ID"))
-    spans = bio_to_spans(seq, text)
+    spans = bio_to_spans(tokenize(text), ("B-ID", "B-ID"), text)
     assert [(s.start, s.end) for s in spans] == [(0, 1), (2, 3)]
 
 
-def test_token_seq_rejects_bad_labels():
+def test_bio_to_spans_rejects_label_count_mismatch():
     toks = tokenize("a b")
-    with pytest.raises(ValueError):
-        TokenSeq(tokens=toks.tokens, labels=("O",))
-    with pytest.raises(ValueError):
-        TokenSeq(tokens=toks.tokens, labels=("O", "Q-DATE"))
+    for labels in (("O",), ("O", "O", "O"), ("B-ID",), ("B-ID", "I-ID", "O")):
+        for strict in (True, False):
+            with pytest.raises(ValueError):
+                bio_to_spans(toks, labels, "a b", strict=strict)
 
 
 @given(st.lists(st.sampled_from(["O", "B-ID", "I-ID", "B-DATE", "I-DATE"]), max_size=8))
 def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
     text = " ".join("x" * len(labels))
-    seq = TokenSeq(tokens=tokenize(text).tokens, labels=tuple(labels))
+    toks = tokenize(text)
 
     def rejects(check) -> bool:
         try:
@@ -185,14 +180,14 @@ def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
             return True
         return False
 
-    assert rejects(lambda: bio_to_spans(seq, text, strict=True)) == \
-        rejects(lambda: oracle_check_bio(seq))
+    assert rejects(lambda: bio_to_spans(toks, labels, text, strict=True)) == \
+        rejects(lambda: oracle_check_bio(labels))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_bio_round_trip_property(seed):
     rng = random.Random(seed)
     doc = random_doc(rng, "doc-0", max_tokens=40)
-    seq = spans_to_bio(doc)
-    back = bio_to_spans(seq, doc.text)
+    toks = tokenize(doc.text)
+    back = bio_to_spans(toks, spans_to_bio(doc, toks), doc.text)
     assert tuple(back) == doc.entities

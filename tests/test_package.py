@@ -1,4 +1,5 @@
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ AGE_JITTER AGE_PRESERVE AgreementReport CANONICAL_SCHEMA CANONICAL_TAGS COMMERCI
 ConfusionMatrix Corpus CorpusSummary DeidError Document ENTITY_STRICT EntitySpan FilterPolicy
 GenerationJob MappingAudit MetricsReport NormalizationPolicy PromptTemplate REDACT
 RecognizerBackend Rulebook SURROGATE SurrogateConfig SurrogatePlan TOKEN TagMap TagSchema Token
-TokenSeq apply_surrogates apply_tagmap bertscore_greedy bio_to_spans build_schema
+apply_surrogates apply_tagmap bertscore_greedy bio_to_spans build_schema
 builtin_canonical_map class_weights cohens_kappa commercial_comparison_map evaluate
 filter_outputs generate jaccard_distance load_template ngram_profile normalize_tag
 parse_inline_xml plan_surrogates read_conll read_corpus read_jsonl recognize_corpus
@@ -53,8 +54,7 @@ def test_cli_parser_imports_no_heavy_module(tmp_path):
     (["evaluate", "--gold", "{a}", "--pred", "{a}", "--out", "{out}.json"], set()),
     (["ngrams", "--in", "{a}", "--n", "2", "--out", "{out}.csv"], set()),
     (["stats", "--in", "{a}", "--out", "{out}.json"], {"numpy"}),
-    (["compare", "--a", "{a}", "--b", "{b}", "--bertscore", "--out", "{out}.json"],
-     {"numpy", "deidkit.syngen"}),
+    (["compare", "--a", "{a}", "--b", "{b}", "--bertscore", "--out", "{out}.json"], {"numpy"}),
 ], ids=["recognize", "evaluate", "ngrams", "stats", "compare"])
 def test_subcommand_loads_heavy_modules_only_if_it_runs_them(tmp_path, sample_corpus, argv,
                                                              loads):
@@ -72,6 +72,19 @@ def test_subcommand_loads_heavy_modules_only_if_it_runs_them(tmp_path, sample_co
     # the same bytes as a run in this process, where numpy was imported up front
     assert main(here) == 0
     assert Path(fresh[-1]).read_bytes() == Path(here[-1]).read_bytes()
+
+
+def test_filter_loads_neither_stats_nor_metrics(tmp_path):
+    # score_generation_quality lives in corpusstats, so syngen needs neither module
+    body = ("<TYPE='Patient_Name'>Asha</TYPE> <TYPE='Age'>44</TYPE> <TYPE='Date'>01-02-2024</TYPE>"
+            + "".join(f" w{i}" for i in range(97)))
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "e:0", "text": f"<RECORD>{body}</RECORD>"}) + "\n")
+    argv = ["filter", "--raw", str(raw), "--out-dir", str(tmp_path / "out")]
+    loaded = modules_after(f"from deidkit.cli import main; assert main({argv!r}) == 0", tmp_path)
+    assert "deidkit.syngen" in loaded
+    assert not loaded & {"deidkit.corpusstats", "deidkit.evalmetrics", "numpy"}
+    assert (tmp_path / "out" / "accepted.jsonl").read_text().count("\n") == 1
 
 
 def test_cli_choices_are_the_module_constants():
@@ -100,7 +113,7 @@ def test_backend_errors_are_core_classes_under_their_old_names():
 
 
 def test_lazy_table_resolves_every_public_name():
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 69
     namespace = {}
     exec("from deidkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES

@@ -146,6 +146,26 @@ def test_align_token_predictions_surface_mismatch():
         align_token_predictions(records, "Asha Rao")
 
 
+def tok(surface, start, label="O"):
+    return {"surface": surface, "start": start, "end": start + len(surface), "label": label}
+
+
+@pytest.mark.parametrize("records, message", [
+    ([tok("Asha", 0, "Q-DATE")], "bad label 'Q-DATE'"),
+    ([tok("Asha", 0, "B-")], "bad label 'B-'"),
+    ([tok("Rao", 5), tok("Asha", 0)], "tokens overlap or are unordered at offset 0"),
+    ([tok("Asha", 0), tok("Asha Rao", 0)], "tokens overlap or are unordered at offset 0"),
+    # order is checked over all tokens before any label
+    ([tok("Asha", 0, "Q-DATE"), tok("Rao", 5), tok("Rao", 5)],
+     "tokens overlap or are unordered at offset 5"),
+], ids=["label-q", "label-empty-tag", "unordered", "overlap", "order-before-label"])
+def test_token_reply_checks_keep_their_messages(records, message):
+    # the exclusion reason of a malformed token reply quotes these messages
+    with pytest.raises(ValueError) as exc:
+        align_token_predictions(records, "Asha Rao left")
+    assert str(exc.value) == message
+
+
 # --- span records: one decoder for JSONL lines and backend replies ---------
 
 RECORD_FAULTS = ("none", "missing_key", "bool_offset", "float_offset", "out_of_range",

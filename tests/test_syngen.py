@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from deidkit.annot_io import parse_inline_xml
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.corpusstats import score_generation_quality
 from deidkit.recognize import EXTERNAL, RecognizerBackend
 from deidkit.syngen import (
     EXEMPLAR_SLOT,
@@ -29,7 +30,6 @@ from deidkit.syngen import (
     load_template,
     render_prompt,
     run_generation_job,
-    score_generation_quality,
 )
 
 from _oracles import oracle_filter_outputs

@@ -55,10 +55,13 @@ texts = st.one_of(
 
 @given(texts)
 def test_pattern_and_counters_equal_their_oracles(text):
-    seq = tokenize(text)
-    assert seq == oracle_tokenize(text)
+    toks = tokenize(text)
+    assert toks == oracle_tokenize(text)
+    # non-empty, in start order and disjoint: what first_overlaps and bio_to_spans rely on
+    assert all(tok.start < tok.end for tok in toks)
+    assert all(prev.end <= tok.start for prev, tok in zip(toks, toks[1:]))
     surfaces = token_surfaces(text)
-    assert surfaces == seq.surfaces()
+    assert surfaces == [tok.surface for tok in toks]
     for s in surfaces + [text]:
         assert _clean_token(s) == oracle_clean_token(s)
     assert _printable_ratio(text) == oracle_printable_ratio(text)
@@ -100,7 +103,7 @@ def repeated(n_again, n_total):
 def test_filter_gate_boundaries_match_oracle_gates(body, measure, value, code):
     policy = FilterPolicy()
     text = parse_inline_xml(body).text
-    surfaces = oracle_tokenize(text).surfaces()
+    surfaces = [tok.surface for tok in oracle_tokenize(text)]
     measured = {"tokens": len(surfaces), "printable": oracle_printable_ratio(text),
                 "repeat": oracle_repeat_ratio(surfaces)}
     assert measured[measure] == value
