@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in {
     "core": "CANONICAL_SCHEMA CANONICAL_TAGS Corpus DeidError Document EntitySpan TagSchema "
             "Token bio_to_spans build_schema spans_to_bio tokenize",
-    "annot_io": "parse_inline_xml read_conll read_corpus read_jsonl write_conll write_corpus "
-                "write_inline_xml write_jsonl",
+    "annot_io": "FilterPolicy parse_inline_xml read_conll read_corpus read_jsonl write_conll "
+                "write_corpus write_inline_xml write_jsonl",
     "tagmap": "COMMERCIAL_SCHEMA MappingAudit NormalizationPolicy TagMap apply_tagmap "
               "builtin_canonical_map commercial_comparison_map normalize_tag tag_distribution",
     "surrogate": "AGE_JITTER AGE_PRESERVE REDACT SURROGATE SurrogateConfig SurrogatePlan "
@@ -26,7 +26,7 @@ _MODULE_OF = {name: module for module, names in {
                    "cohens_kappa evaluate review_metrics_from_counts",
     "corpusstats": "CorpusSummary bertscore_greedy class_weights jaccard_distance ngram_profile "
                    "score_generation_quality split summarize tag_weight",
-    "syngen": "FilterPolicy GenerationJob PromptTemplate filter_outputs generate load_template "
+    "syngen": "GenerationJob PromptTemplate filter_outputs generate load_template "
               "run_generation_job",
 }.items() for name in names.split()}
 

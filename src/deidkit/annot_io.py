@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -138,6 +139,29 @@ def parse_inline_xml(raw: str, require_envelope: bool = False, doc_id: str = "do
         raise MalformedMarkup(f"unclosed {ENTITY_ELEMENT} element (tag {open_tag!r})")
     out.append(body[i:])
     return Document(id=doc_id, text="".join(out), entities=tuple(entities), meta=meta or {})
+
+
+@dataclass(frozen=True)
+class FilterPolicy:
+    require_record_envelope: bool = True
+    min_annotations: int = 3
+    length_bounds: tuple[int, int] = (100, 4500)  # tokens
+    printable_ratio_min: float = 0.97
+    max_repeat_ratio: float = 0.15  # top token frequency / total tokens
+    unknown_tags: str = "map_to_others"  # map_to_others | reject
+
+    def __post_init__(self) -> None:
+        lo, hi = self.length_bounds
+        if not (0 <= lo <= hi):
+            raise ValueError(f"bad length bounds {self.length_bounds}")
+        if not (0.0 <= self.printable_ratio_min <= 1.0):
+            raise ValueError("printable_ratio_min must be in [0, 1]")
+        if not (0.0 < self.max_repeat_ratio <= 1.0):
+            raise ValueError("max_repeat_ratio must be in (0, 1]")
+        if self.unknown_tags not in ("map_to_others", "reject"):
+            raise ValueError(f"bad unknown_tags {self.unknown_tags!r}")
+        if self.min_annotations < 0:
+            raise ValueError("min_annotations must be >= 0")
 
 
 def write_inline_xml(doc: Document) -> str:

@@ -22,21 +22,15 @@ from pathlib import Path
 from typing import Optional
 
 from . import annot_io
-from .core import CANONICAL_SCHEMA, BackendTimeout, Corpus, DeidError, ProtocolViolation
+from .core import (CANONICAL_SCHEMA, BackendTimeout, ConfigError, Corpus, DeidError,
+                   ProtocolViolation, read_fields)
 
 logger = logging.getLogger("deidkit.cli")
 
 ENV_BACKEND = "DEIDKIT_BACKEND"
 
-
-class ConfigError(DeidError):
-    """A pipeline config file with unknown keys, mistyped values or missing files."""
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} is not a JSON object")
-    return value
+MATRIX_FIELDS = {"train_sets": dict[str, str | list[str]], "test_sets": dict[str, str | list[str]],
+                 "mode": str, "out_dir": str, "backend": str}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,28 +39,20 @@ class PipelineConfig:
 
     concurrency: int = 4
     backend: str = ""
-    surrogate: dict = dataclasses.field(default_factory=dict)
-    filter: dict = dataclasses.field(default_factory=dict)
+    surrogate: dict = dataclasses.field(default_factory=dict)  # SurrogateConfig fields
+    filter: dict = dataclasses.field(default_factory=dict)  # FilterPolicy fields
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        from . import surrogate, syngen
-        data = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), f"config {path}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for section, allowed in (
-            ("surrogate", {f.name for f in dataclasses.fields(surrogate.SurrogateConfig)}),
-            ("filter", {f.name for f in dataclasses.fields(syngen.FilterPolicy)}),
-        ):
-            extra = set(_json_object(data.get(section, {}), f"config {section}")) - allowed
-            if extra:
-                raise ConfigError(f"unknown {section} config keys: {sorted(extra)}")
-        if type(data.get("concurrency", 0)) is not int:  # bool is no concurrency either
-            raise ConfigError(f"config concurrency {data['concurrency']!r} is not an integer")
-        lexicons = data.get("surrogate", {}).get("locale_lexicons", {})
-        for lex in _json_object(lexicons, "config locale_lexicons").values():
+        """The config in the JSON file at `path`, or the defaults without one."""
+        if not path:
+            return cls()
+        from .surrogate import SurrogateConfig
+        data = read_fields(json.loads(Path(path).read_text(encoding="utf-8")), cls,
+                           f"config {path}")
+        for section, spec in ("surrogate", SurrogateConfig), ("filter", annot_io.FilterPolicy):
+            read_fields(data.get(section, {}), spec, f"config {path} {section}")
+        for lex in data.get("surrogate", {}).get("locale_lexicons", {}).values():
             if "/" in lex and not Path(lex).is_file():
                 raise ConfigError(f"lexicon file not found: {lex}")
         return cls(**data)
@@ -105,10 +91,9 @@ def _backend_from_args(args, config: PipelineConfig) -> recognize.RecognizerBack
     )
 
 
-def _config_from_args(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return PipelineConfig.load(args.config)
-    return PipelineConfig()
+def _with_flags(section: dict, **flags) -> dict:
+    """A config section with each flag that was given put over it."""
+    return {**section, **{key: value for key, value in flags.items() if value is not None}}
 
 
 # --- subcommand implementations -------------------------------------------
@@ -149,16 +134,11 @@ def cmd_map_tags(args) -> int:
 
 def cmd_deidentify(args) -> int:
     from . import surrogate
-    config = _config_from_args(args)
+    config = PipelineConfig.load(args.config)
     corpus = annot_io.read_corpus(args.infile)
-    kwargs = dict(config.surrogate)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.date_offset is not None:
-        kwargs["date_offset_days"] = args.date_offset
-    if args.time_offset is not None:
-        kwargs["time_offset_minutes"] = args.time_offset
-    cfg = surrogate.SurrogateConfig(**kwargs)
+    cfg = surrogate.SurrogateConfig(**_with_flags(
+        config.surrogate, seed=args.seed, date_offset_days=args.date_offset,
+        time_offset_minutes=args.time_offset))
     out = surrogate.scrub_corpus(corpus, args.mode, cfg)
     annot_io.write_corpus(out, args.out)
     return 0
@@ -166,7 +146,7 @@ def cmd_deidentify(args) -> int:
 
 def cmd_recognize(args) -> int:
     from . import recognize
-    config = _config_from_args(args)
+    config = PipelineConfig.load(args.config)
     corpus = annot_io.read_corpus(args.infile)
     backend = _backend_from_args(args, config)
     result = recognize.recognize_corpus(corpus, backend)
@@ -289,7 +269,7 @@ def _parse_ratios(raw: str):
 
 def cmd_generate(args) -> int:
     from . import recognize, syngen
-    config = _config_from_args(args)
+    config = PipelineConfig.load(args.config)
     template = syngen.load_template(args.template)
     exemplars = annot_io.read_corpus(args.exemplars)
     backend = _backend_from_args(args, config)
@@ -307,12 +287,10 @@ def cmd_generate(args) -> int:
 
 def cmd_filter(args) -> int:
     from . import syngen
-    config = _config_from_args(args)
+    config = PipelineConfig.load(args.config)
     raw = syngen.load_raw(args.raw)
-    policy_kwargs = dict(config.filter)
-    if args.min_annotations is not None:
-        policy_kwargs["min_annotations"] = args.min_annotations
-    policy = syngen.FilterPolicy(**policy_kwargs)
+    policy = syngen.FilterPolicy(**_with_flags(config.filter,
+                                               min_annotations=args.min_annotations))
     corpus, rejects = syngen.filter_outputs(raw, policy)
     syngen.write_filtered(corpus, rejects, args.out_dir)
     _write_json({"accepted": len(corpus), "rejected": len(rejects.rejects),
@@ -322,23 +300,16 @@ def cmd_filter(args) -> int:
 
 def cmd_run_matrix(args) -> int:
     from . import corpusstats, evalmetrics, recognize
-    grid = _json_object(json.loads(Path(args.matrix).read_text(encoding="utf-8")),
-                        f"matrix {args.matrix}")
-    allowed = {"train_sets", "test_sets", "mode", "out_dir", "backend"}
-    unknown = set(grid) - allowed
-    if unknown:
-        raise ConfigError(f"unknown matrix keys: {sorted(unknown)}")
-    for key in ("test_sets", "train_sets"):
-        _json_object(grid[key], f"matrix {key}")
+    grid = read_fields(json.loads(Path(args.matrix).read_text(encoding="utf-8")),
+                       MATRIX_FIELDS, f"matrix {args.matrix}")
+    train_sets, test_sets = grid["train_sets"], grid["test_sets"]
     out_dir = Path(args.out_dir or grid.get("out_dir", "matrix-out"))
     mode = grid.get("mode", evalmetrics.TOKEN)
     backend = _backend_from_args(args, PipelineConfig(backend=grid.get("backend", "rules")))
-    test_corpora = {
-        name: _read_union(paths) for name, paths in sorted(grid["test_sets"].items())
-    }
+    test_corpora = {name: _read_union(paths) for name, paths in sorted(test_sets.items())}
     (out_dir / "train").mkdir(parents=True, exist_ok=True)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
-    for name, paths in sorted(grid["train_sets"].items()):
+    for name, paths in sorted(train_sets.items()):
         union = _read_union(paths)
         annot_io.write_corpus(union, out_dir / "train" / f"{name}.conll")
         weights = corpusstats.class_weights(union)
@@ -350,7 +321,7 @@ def cmd_run_matrix(args) -> int:
     for test_name, test_corpus in test_corpora.items():
         result = recognize.recognize_corpus(test_corpus, backend)
         scored[test_name] = evalmetrics.evaluate(test_corpus, result.as_pred_map(), mode=mode)
-    for train_name in sorted(grid["train_sets"]):
+    for train_name in sorted(train_sets):
         for test_name, (report, matrix) in scored.items():
             _write_json(
                 {
@@ -362,7 +333,7 @@ def cmd_run_matrix(args) -> int:
                 },
                 out_dir / "reports" / f"{train_name}__{test_name}.json",
             )
-    n_reports = len(grid["train_sets"]) * len(grid["test_sets"])
+    n_reports = len(train_sets) * len(test_sets)
     logger.info("wrote %d reports under %s", n_reports, out_dir / "reports")
     return 0
 

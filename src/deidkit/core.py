@@ -14,7 +14,9 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import UnionType
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, get_args, get_origin, \
+    get_type_hints
 
 logger = logging.getLogger("deidkit.core")
 
@@ -45,6 +47,10 @@ class ProtocolViolation(DeidError):
 
 class BackendTimeout(DeidError):
     """No response within the configured timeout (after retries)."""
+
+
+class ConfigError(DeidError, ValueError):
+    """A config, grid or tag-map file with an unknown key, a mistyped value or a missing file."""
 
 
 # Canonical tag inventory. OTHERS is the non-PHI catch-all.
@@ -320,3 +326,42 @@ def build_schema(tags: Iterable[str], name: str = "inferred", other: str = "OTHE
     if other not in ordered:
         ordered.append(other)
     return TagSchema(name=name, tags=tuple(ordered), other=other)
+
+
+def _json_check(typ) -> Callable[[object], bool]:
+    """A test that a decoded JSON value has type `typ`: bool, int (which a
+    bool is not), float (which an int is), str, dict (any object), list[T],
+    dict[str, T], tuple[T1, ..., Tn] (an array of n values) or X | Y.
+    Raises TypeError for any other type."""
+    if typ in (bool, int, float, str, dict):
+        return lambda v: type(v) is typ or typ is float and type(v) is int
+    origin, args = get_origin(typ), get_args(typ)
+    checks = [_json_check(t) for t in args]
+    if origin is UnionType:
+        return lambda v: any(check(v) for check in checks)
+    if origin is list and len(checks) == 1:
+        return lambda v: type(v) is list and all(map(checks[0], v))
+    if origin is tuple:
+        return lambda v: type(v) is list and len(v) == len(checks) and \
+            all(check(x) for check, x in zip(checks, v))
+    if origin is dict and args[0] is str:
+        return lambda v: type(v) is dict and all(map(checks[1], v.values()))
+    raise TypeError(f"no JSON check for type {typ!r}")
+
+
+def read_fields(value, spec, what: str) -> dict:
+    """`value`, a decoded JSON object, checked against `spec`: a dataclass,
+    whose field types typing.get_type_hints reads, or a field name -> type
+    table. Keys may be missing. A non-object, an unknown key or a value of
+    the wrong type raises ConfigError naming `what`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: not a JSON object")
+    types = spec if isinstance(spec, dict) else get_type_hints(spec)
+    checks = {key: _json_check(typ) for key, typ in types.items()}  # every type, every read
+    for key, item in value.items():
+        if key not in checks:
+            raise ConfigError(f"{what}: unknown key {key!r}; allowed: {sorted(checks)}")
+        if not checks[key](item):
+            name = types[key].__name__ if type(types[key]) is type else types[key]
+            raise ConfigError(f"{what}: {key!r} must be {name}, not {item!r}")
+    return value

@@ -289,6 +289,8 @@ def tag_weight(n: int, n_t: int) -> float:
 def class_weights(corpus: Corpus, cap: float = 20.0) -> ClassWeights:
     """Token counts per tag (tokens labeled by entity overlap, OTHERS for
     the rest) fed through the weight formula. Unseen tags get the cap."""
+    if not 0 <= cap < math.inf:  # also false for nan
+        raise ValueError(f"weight cap {cap} is not a finite number >= 0")
     if len(corpus) == 0:
         raise EmptyCorpus("cannot weight an empty corpus")
     counts = {tag: 0 for tag in corpus.schema.tags}

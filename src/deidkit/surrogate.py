@@ -55,7 +55,7 @@ class SurrogateConfig:
     seed: int = 0
     date_offset_days: int = 0
     time_offset_minutes: int = 0
-    locale_lexicons: dict = field(default_factory=dict)  # tag -> file path
+    locale_lexicons: dict[str, str] = field(default_factory=dict)  # tag -> file path
     age_policy: str = AGE_PRESERVE  # preserve | jitter
     age_jitter_years: int = 0
 

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .annot_io import (
     BadRecordLine,
+    FilterPolicy,
     MalformedMarkup,
     MissingEnvelope,
     EmptyEntity,
@@ -78,29 +79,6 @@ def load_template(which: str) -> PromptTemplate:
 def render_prompt(template: PromptTemplate, exemplar: Document) -> str:
     """Replace the slot with the exemplar serialized as inline XML."""
     return template.body.replace(EXEMPLAR_SLOT, write_inline_xml(exemplar))
-
-
-@dataclass(frozen=True)
-class FilterPolicy:
-    require_record_envelope: bool = True
-    min_annotations: int = 3
-    length_bounds: tuple = (100, 4500)  # tokens
-    printable_ratio_min: float = 0.97
-    max_repeat_ratio: float = 0.15  # top token frequency / total tokens
-    unknown_tags: str = "map_to_others"  # map_to_others | reject
-
-    def __post_init__(self) -> None:
-        lo, hi = self.length_bounds
-        if not (0 <= lo <= hi):
-            raise ValueError(f"bad length bounds {self.length_bounds}")
-        if not (0.0 <= self.printable_ratio_min <= 1.0):
-            raise ValueError("printable_ratio_min must be in [0, 1]")
-        if not (0.0 < self.max_repeat_ratio <= 1.0):
-            raise ValueError("max_repeat_ratio must be in (0, 1]")
-        if self.unknown_tags not in ("map_to_others", "reject"):
-            raise ValueError(f"bad unknown_tags {self.unknown_tags!r}")
-        if self.min_annotations < 0:
-            raise ValueError("min_annotations must be >= 0")
 
 
 @dataclass(frozen=True)

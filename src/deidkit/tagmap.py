@@ -23,6 +23,7 @@ from .core import (
     EntitySpan,
     TagSchema,
     build_schema,
+    read_fields,
     token_surfaces,
 )
 
@@ -110,13 +111,6 @@ class NormalizationPolicy:
         return replace(doc, entities=tuple(out))
 
 
-def _load_rules_file() -> dict:
-    with resources.files("deidkit.data").joinpath("canonical_tag_rules.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
-
-
 def _flatten_rows(rows: dict) -> dict:
     rules: dict = {}
     for target, sources in rows.items():
@@ -130,7 +124,8 @@ def _flatten_rows(rows: dict) -> dict:
 
 def builtin_canonical_map() -> TagMap:
     """The shipped source-tag -> canonical-tag table."""
-    payload = _load_rules_file()
+    payload = json.loads(resources.files("deidkit.data").joinpath("canonical_tag_rules.json")
+                         .read_text(encoding="utf-8"))
     return TagMap(
         target_schema=CANONICAL_SCHEMA,
         rules=_flatten_rows(payload["rows"]),
@@ -177,24 +172,19 @@ def _retag(doc: Document, renamed: dict) -> Document:
     return Document(id=doc.id, text=doc.text, entities=ents, meta=doc.meta)
 
 
+ROWS_MAP = {"rows": dict[str, list[str]], "default": str, "name": str}
+FLAT_MAP = {"rules": dict[str, str], "target": list[str], "default": str, "name": str}
+
+
 def load_tagmap(path) -> TagMap:
-    """Read a map from JSON: either row orientation {rows: {target: [sources]}}
-    or flat {rules: {source: target}} with an optional target list, plus
-    optional default and name (the target schema's name). Any other key is
-    rejected, so a misspelt "default" cannot quietly send every unlisted tag
-    to OTHERS."""
+    """Read a map from JSON: rows {target: [sources]} or flat rules {source:
+    target} with an optional target list, plus an optional default and name
+    (of the target schema). Any other key is rejected, so a misspelt
+    "default" cannot quietly send every unlisted tag to OTHERS."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"tag map {path} is not a JSON object")
-    allowed = {"rows", "default", "name"} if "rows" in payload else \
-        {"rules", "target", "default", "name"}
-    extra = set(payload) - allowed
-    if extra:
-        raise ValueError(f"unknown tag map keys {sorted(extra)}; allowed: {sorted(allowed)}")
-    table = "rows" if "rows" in payload else "rules"
-    if not isinstance(payload[table], dict):
-        raise ValueError(f"tag map {table} is not a JSON object")
-    if "rows" in payload:
+    rows = isinstance(payload, dict) and "rows" in payload
+    read_fields(payload, ROWS_MAP if rows else FLAT_MAP, f"tag map {path}")
+    if rows:
         rules = _flatten_rows(payload["rows"])
         targets = list(payload["rows"])
     else:

@@ -2,15 +2,20 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
+from typing import Optional, get_type_hints
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deidkit import recognize
 from deidkit.annot_io import (
-    BadRecordLine, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
+    BadRecordLine, FilterPolicy, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
 )
-from deidkit.cli import ConfigError, PipelineConfig, main
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.cli import MATRIX_FIELDS, ConfigError, PipelineConfig, main
+from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, read_fields
+from deidkit.surrogate import SurrogateConfig
+from deidkit.tagmap import FLAT_MAP, ROWS_MAP
 
 
 @pytest.fixture()
@@ -292,6 +297,9 @@ def test_weights_command(tmp_path, corpus_path):
     payload = json.loads(out.read_text())
     assert set(payload["per_tag"]) == set(CANONICAL_SCHEMA.tags)
     assert all(v["w_t"] >= 0 for v in payload["per_tag"].values())
+    # unseen tags get the cap, so a cap that is not a finite weight >= 0 is refused
+    for cap in ("nan", "inf", "-3"):
+        assert run("weights", "--in", corpus_path, "--cap", cap, "--out", out) == 1
 
 
 def test_split_command(tmp_path):
@@ -556,9 +564,28 @@ def test_config_feeds_deidentify(tmp_path, corpus_path):
     (["run-matrix", "{cfg}"], []),
     (["run-matrix", "{cfg}"], {"train_sets": [], "test_sets": {}}),
     (["run-matrix", "{cfg}"], {"train_sets": {}, "test_sets": "a.jsonl"}),
+    # well-shaped files holding a value of the wrong type
+    (["deidentify", "--config", "{cfg}"], {"surrogate": {"seed": "x"}}),
+    (["recognize", "--config", "{cfg}"], {"backend": 5}),
+    (["deidentify", "--config", "{cfg}"], {"surrogate": {"locale_lexicons": {"PATIENT": 5}}}),
+    (["deidentify", "--config", "{cfg}"], {"filter": {"length_bounds": 5}}),
+    (["map-tags", "--map", "{cfg}"], {"rows": {"DATE": 5}}),
+    (["map-tags", "--map", "{cfg}"], {"rules": {}, "target": 5}),
+    (["run-matrix", "{cfg}"], {"train_sets": {"a": 5}, "test_sets": {}}),
+    (["run-matrix", "{cfg}"], {"train_sets": {}, "test_sets": {"a": [5]}}),
+    # ... and ones that used to exit 0 with wrong output
+    (["map-tags", "--map", "{cfg}"], {"rows": {"DATE": "Visit"}}),
+    (["map-tags", "--map", "{cfg}"], {"rules": {"a": "DATE"}, "default": 5}),
+    (["deidentify", "--config", "{cfg}"], {"filter": {"require_record_envelope": "no"}}),
+    (["deidentify", "--config", "{cfg}"], {"filter": {"min_annotations": 2.5}}),
+    (["deidentify", "--config", "{cfg}"], {"surrogate": {"age_jitter_years": True}}),
 ], ids=["deidentify-list", "deidentify-surrogate-list", "deidentify-lexicons-list",
         "recognize-concurrency-str", "map-list", "map-rows-list", "map-rules-list",
-        "matrix-list", "matrix-train-list", "matrix-test-str"])
+        "matrix-list", "matrix-train-list", "matrix-test-str",
+        "deidentify-seed-str", "recognize-backend-int", "deidentify-lexicon-int",
+        "deidentify-length-bounds-int", "map-row-int", "map-target-int", "matrix-train-int",
+        "matrix-test-list-int", "map-row-str", "map-default-int", "deidentify-envelope-str",
+        "deidentify-min-annotations-float", "deidentify-age-jitter-bool"])
 def test_malformed_config_file_exits_one(tmp_path, corpus_path, mock_cmd, caplog, argv,
                                          payload):
     # valid JSON of the wrong shape is a one-line error, not a traceback
@@ -569,6 +596,92 @@ def test_malformed_config_file_exits_one(tmp_path, corpus_path, mock_cmd, caplog
         argv += ["--in", str(corpus_path), "--out", str(tmp_path / "out.jsonl")]
     assert main(argv) == 1
     assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+
+SETTINGS_SPECS = (PipelineConfig, SurrogateConfig, FilterPolicy, MATRIX_FIELDS, ROWS_MAP, FLAT_MAP)
+
+
+def test_every_settings_field_has_a_type_the_reader_decides():
+    # read_fields builds the check of every field on each read, so a field
+    # whose type it cannot decide fails here rather than in a user's run
+    for spec in SETTINGS_SPECS:
+        assert read_fields({}, spec, "spec") == {}
+    for undecidable in (Optional[int], Path, set, tuple[int, ...], dict[int, str]):
+        with pytest.raises(TypeError):
+            read_fields({}, {"key": undecidable}, "spec")
+
+
+@pytest.mark.parametrize("typ, good, bad", [
+    (int, [0, -3, 2**70], [True, 1.0, "1", None]),
+    (float, [0.5, 2, float("nan")], [False, "0.5", [0.5]]),
+    (bool, [True, False], [0, "no", None]),
+    (tuple[int, int], [[1, 2]], [[1], [1, 2, 3], [1, True], 5]),
+    (dict[str, str | list[str]], [{}, {"a": "x", "b": ["x", "y"]}], [{"a": 5}, {"a": [5]}, []]),
+])
+def test_read_fields_checks_json_types(typ, good, bad):
+    for value in good:
+        assert read_fields({"key": value}, {"key": typ}, "spec") == {"key": value}
+    for value in bad:
+        with pytest.raises(ConfigError, match="'key' must be"):
+            read_fields({"key": value}, {"key": typ}, "spec")
+
+
+def json_values(strings, keys=None):
+    """Any JSON value whose strings and object keys are drawn from the given strategies."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | strings,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(strings if keys is None else keys, inner, max_size=3),
+        max_leaves=6)
+
+
+def fields_of(keys, values):
+    """An object with any subset of `keys`, each holding a value from `values`."""
+    return st.fixed_dictionaries({}, optional={key: values for key in keys})
+
+
+ANY_JSON = json_values(st.text(max_size=4))
+# grid set names and corpus paths come from fixed lists, so no drawn string
+# names a file that run-matrix reads or writes; --out-dir and --backend rules
+# win over the drawn ones, so none reaches an output directory or a backend
+CORPUS_SETS = json_values(st.just("c.jsonl"), st.sampled_from(["a", "b"]))
+SETTINGS_FILES = {
+    "config": (
+        st.fixed_dictionaries({}, optional={
+            "concurrency": ANY_JSON, "backend": ANY_JSON,
+            "surrogate": fields_of(get_type_hints(SurrogateConfig), ANY_JSON) | ANY_JSON,
+            "filter": fields_of(get_type_hints(FilterPolicy), ANY_JSON) | ANY_JSON}) | ANY_JSON,
+        [["deidentify", "--config", "cfg.json", "--in", "c.jsonl", "--out", "o.jsonl"],
+         ["recognize", "--backend", "rules", "--config", "cfg.json", "--in", "c.jsonl",
+          "--out", "o.jsonl"],
+         ["filter", "--config", "cfg.json", "--raw", "raw.jsonl", "--out-dir", "filtered"]]),
+    "grid": (
+        st.fixed_dictionaries({}, optional={
+            "train_sets": CORPUS_SETS, "test_sets": CORPUS_SETS, "mode": ANY_JSON,
+            "out_dir": ANY_JSON, "backend": json_values(st.just("rules"))}),
+        [["run-matrix", "cfg.json", "--out-dir", "matrix"]]),
+    "tagmap": (
+        fields_of(ROWS_MAP, ANY_JSON) | fields_of(FLAT_MAP, ANY_JSON) | ANY_JSON,
+        [["map-tags", "--map", "cfg.json", "--in", "c.jsonl", "--out", "o.jsonl"]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SETTINGS_FILES))
+def test_any_settings_file_exits_0_1_or_2(tmp_path, monkeypatch, sample_corpus, kind):
+    monkeypatch.delenv("DEIDKIT_BACKEND", raising=False)
+    monkeypatch.chdir(tmp_path)
+    write_corpus(sample_corpus, "c.jsonl")
+    body = "<TYPE='Date'>01-02-2024</TYPE> seen" * 3 + " w" * 100
+    Path("raw.jsonl").write_text(json.dumps({"id": "e:0", "text": f"<RECORD>{body}</RECORD>"}))
+    payloads, argvs = SETTINGS_FILES[kind]
+
+    @given(payloads)
+    def exits_0_1_or_2(payload):
+        Path("cfg.json").write_text(json.dumps(payload))
+        for argv in argvs:
+            assert main(argv) in (0, 1, 2)
+
+    exits_0_1_or_2()
 
 
 def test_console_entry_point():

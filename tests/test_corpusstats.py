@@ -216,6 +216,13 @@ def test_class_weights_counts_and_cap(caplog):
     assert w.per_tag["DATE"] == {"n_t": 0, "w_t": 20.0}
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, -3.0])
+def test_class_weights_rejects_a_cap_that_is_no_weight(cap):
+    corpus = corpus_of("Asha", entities={0: [EntitySpan(0, 4, "PATIENT", "Asha")]})
+    with pytest.raises(ValueError, match="cap"):
+        class_weights(corpus, cap=cap)
+
+
 def test_class_weights_empty_corpus():
     empty = Corpus(documents=(), schema=CANONICAL_SCHEMA)
     with pytest.raises(EmptyCorpus):

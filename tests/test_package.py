@@ -74,6 +74,20 @@ def test_subcommand_loads_heavy_modules_only_if_it_runs_them(tmp_path, sample_co
     assert Path(fresh[-1]).read_bytes() == Path(here[-1]).read_bytes()
 
 
+def test_deidentify_config_loads_no_backend_or_generation_code(tmp_path, sample_corpus):
+    # the config's filter section is checked against FilterPolicy, which annot_io holds
+    from deidkit.annot_io import write_corpus
+
+    write_corpus(sample_corpus, tmp_path / "a.jsonl")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surrogate": {"seed": 3}, "filter": {"min_annotations": 1}}))
+    argv = ["deidentify", "--in", str(tmp_path / "a.jsonl"), "--out", str(tmp_path / "o.jsonl"),
+            "--config", str(cfg)]
+    loaded = modules_after(f"from deidkit.cli import main; assert main({argv!r}) == 0", tmp_path)
+    assert {"deidkit.annot_io", "deidkit.surrogate"} <= loaded
+    assert not loaded & {"deidkit.syngen", "deidkit.recognize", "deidkit.tagmap"}
+
+
 def test_filter_loads_neither_stats_nor_metrics(tmp_path):
     # score_generation_quality lives in corpusstats, so syngen needs neither module
     body = ("<TYPE='Patient_Name'>Asha</TYPE> <TYPE='Age'>44</TYPE> <TYPE='Date'>01-02-2024</TYPE>"
