@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -34,7 +35,7 @@ from .core import (
     build_schema,
     is_bio_label,
     spans_to_bio,
-    tokenize,
+    token_bounds,
 )
 
 
@@ -61,6 +62,10 @@ class BadRecordLine(DeidError):
 
 class InvalidLabel(DeidError):
     """A CoNLL label that is not O, B-tag, or I-tag."""
+
+
+class MissingLexicon(DeidError):
+    """A lexicon path that does not exist or holds no entries."""
 
 
 RECORD_OPEN = "<RECORD>"
@@ -225,8 +230,9 @@ def write_conll(corpus: Corpus) -> str:
     entities must be token-aligned."""
     blocks: list[str] = []
     for doc in corpus:
-        toks = tokenize(doc.text)
-        lines = [f"{tok.surface}\t{lab}" for tok, lab in zip(toks, spans_to_bio(doc, toks))]
+        bounds = token_bounds(doc.text)
+        lines = [f"{doc.text[start:end]}\t{lab}"
+                 for (start, end), lab in zip(bounds, spans_to_bio(doc, bounds))]
         blocks.append("\n".join(lines))
     if not blocks:
         return ""
@@ -268,7 +274,7 @@ def decode_spans(records, text: str) -> tuple:
         # json gives bool for true/false, and bool is an int subclass
         if type(start) is not int or type(end) is not int:
             raise TypeError("entity offset is not an integer")
-        if has_lone_surrogate(tag):
+        if not tag.isascii() and has_lone_surrogate(tag):
             raise ValueError("entity tag holds a lone surrogate")
     return tuple(spans)
 
@@ -379,3 +385,28 @@ def write_corpus(corpus: Corpus, path) -> None:
         p.mkdir(parents=True, exist_ok=True)
         for doc in corpus:
             (p / f"{doc.id}.xml").write_text(write_inline_xml(doc), encoding="utf-8")
+
+
+_lexicon_cache: dict = {}
+
+
+def load_lexicon(source: str) -> tuple[str, ...]:
+    """`source` is either a packaged lexicon filename or a filesystem path."""
+    if source in _lexicon_cache:
+        return _lexicon_cache[source]
+    packaged = resources.files("deidkit.data.lexicons").joinpath(source)
+    if "/" not in source and packaged.is_file():
+        raw = packaged.read_text(encoding="utf-8")
+    else:
+        p = Path(source)
+        if not p.is_file():
+            raise MissingLexicon(f"lexicon not found: {source}")
+        raw = p.read_text(encoding="utf-8")
+    entries = tuple(
+        line.strip() for line in raw.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+    if not entries:
+        raise MissingLexicon(f"lexicon is empty: {source}")
+    _lexicon_cache[source] = entries
+    return entries

@@ -304,6 +304,10 @@ def cmd_run_matrix(args) -> int:
                        MATRIX_FIELDS, f"matrix {args.matrix}")
     train_sets, test_sets = grid["train_sets"], grid["test_sets"]
     out_dir = Path(args.out_dir or grid.get("out_dir", "matrix-out"))
+    bad = sorted(name for name in {*train_sets, *test_sets}
+                 if "/" in name or "\0" in name or name in (".", ".."))
+    if bad:
+        raise ConfigError(f"matrix {args.matrix}: set names cannot name a file in {out_dir}: {bad}")
     mode = grid.get("mode", evalmetrics.TOKEN)
     backend = _backend_from_args(args, PipelineConfig(backend=grid.get("backend", "rules")))
     test_corpora = {name: _read_union(paths) for name, paths in sorted(test_sets.items())}
@@ -502,8 +506,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         logger.error("i/o failure: %s", exc)
         return 2
-    except (DeidError, ValueError, json.JSONDecodeError, KeyError) as exc:
-        logger.error("%s", exc)
+    except (DeidError, ValueError, json.JSONDecodeError, KeyError, RecursionError) as exc:
+        logger.error("%s", exc)  # RecursionError: json.loads on input nested too deep
         return 1
 
 

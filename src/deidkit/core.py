@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, get_args, get_origin, \
     get_type_hints
@@ -93,7 +93,7 @@ class TagSchema:
 CANONICAL_SCHEMA = TagSchema(name="canonical-9", tags=CANONICAL_TAGS, other="OTHERS")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EntitySpan:
     """A labeled character span. `end` is exclusive; surface must equal the
     covered slice of the owning document's text."""
@@ -103,14 +103,23 @@ class EntitySpan:
     tag: str
     surface: str
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise SpanOutOfRange(f"bad span offsets [{self.start}, {self.end})")
-        if not self.surface:
+    def __init__(self, start: int, end: int, tag: str, surface: str) -> None:
+        if start < 0 or start >= end:
+            raise SpanOutOfRange(f"bad span offsets [{start}, {end})")
+        if not surface:
             raise SpanOutOfRange("span surface must be non-empty")
+        # a slot's own setter stores a checked value past the frozen __setattr__
+        set_start, set_end, set_tag, set_surface = _SPAN_SLOTS
+        set_start(self, start)
+        set_end(self, end)
+        set_tag(self, tag)
+        set_surface(self, surface)
 
 
-@dataclass(frozen=True)
+_SPAN_SLOTS = tuple(getattr(EntitySpan, f.name).__set__ for f in fields(EntitySpan))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Document:
     """Raw text plus its entity spans and provenance metadata.
 
@@ -123,29 +132,39 @@ class Document:
     entities: tuple[EntitySpan, ...] = ()
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, text: str, entities: Iterable[EntitySpan] = (),
+                 meta: Optional[dict] = None) -> None:
+        if not id:
             raise ValueError("document id must be non-empty")
-        ents = tuple(sorted(self.entities, key=lambda e: (e.start, e.end)))
-        object.__setattr__(self, "entities", ents)
+        ents = tuple(entities)
+        if any(a.start >= b.start for a, b in zip(ents, ents[1:])):  # sort only if unsorted
+            ents = tuple(sorted(ents, key=lambda e: (e.start, e.end)))
         prev_end = 0
         for ent in ents:
-            if ent.end > len(self.text):
+            if ent.end > len(text):
                 # also the reason recognize reports for a backend span past the request text
-                raise SpanOutOfRange(f"span {ent.start}:{ent.end} outside text of {len(self.text)}")
+                raise SpanOutOfRange(f"span {ent.start}:{ent.end} outside text of {len(text)}")
             if ent.start < prev_end:
-                raise ValueError(f"doc {self.id!r}: overlapping entities at offset {ent.start}")
-            if self.text[ent.start : ent.end] != ent.surface:
+                raise ValueError(f"doc {id!r}: overlapping entities at offset {ent.start}")
+            if text[ent.start : ent.end] != ent.surface:
                 raise ValueError(
-                    f"doc {self.id!r}: surface mismatch at [{ent.start},{ent.end}): "
-                    f"{self.text[ent.start:ent.end]!r} != {ent.surface!r}"
+                    f"doc {id!r}: surface mismatch at [{ent.start},{ent.end}): "
+                    f"{text[ent.start:ent.end]!r} != {ent.surface!r}"
                 )
             prev_end = ent.end
+        set_id, set_text, set_entities, set_meta = _DOCUMENT_SLOTS
+        set_id(self, id)
+        set_text(self, text)
+        set_entities(self, ents)
+        set_meta(self, {} if meta is None else meta)
 
     def with_meta(self, **extra: str) -> "Document":
         meta = dict(self.meta)
         meta.update(extra)
         return Document(id=self.id, text=self.text, entities=self.entities, meta=meta)
+
+
+_DOCUMENT_SLOTS = tuple(getattr(Document, f.name).__set__ for f in fields(Document))
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,11 @@ class Corpus:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "documents", tuple(self.documents))
-        seen: set[str] = set()
+        tags = {ent.tag for doc in self.documents for ent in doc.entities}
+        if len({doc.id for doc in self.documents}) == len(self.documents) and \
+                all(tag in self.schema for tag in tags):
+            return
+        seen: set[str] = set()  # a second pass names the first fault, in order
         for doc in self.documents:
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
@@ -203,7 +226,8 @@ def tokenize(text: str) -> tuple[Token, ...]:
     disjoint; their offsets partition the non-whitespace characters
     exactly, so joining tokens with the original gaps reproduces the text.
     """
-    return tuple(Token(m.group(), *m.span()) for m in _TOKEN.finditer(text))
+    new = tuple.__new__  # a Token without the NamedTuple constructor's call
+    return tuple(new(Token, (m.group(), m.start(), m.end())) for m in _TOKEN.finditer(text))
 
 
 def token_surfaces(text: str) -> list[str]:
@@ -211,49 +235,55 @@ def token_surfaces(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
-def first_overlaps(tokens: Sequence[Token],
-                   spans: Sequence[EntitySpan]) -> list[Optional[EntitySpan]]:
-    """For each token, the first span in `spans` that overlaps it, or None.
+def token_bounds(text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of tokenize(text), without building Token objects."""
+    return [m.span() for m in _TOKEN.finditer(text)]
 
-    Relies on two orderings the caller establishes: `tokens` sorted by start
-    (tokenize gives that order) and `spans` sorted by (start, -len). A span
-    with end <= tok.start is then dead for every later token, so one
-    pointer skips it for good; the first live span overlaps the token or
-    starts at or after its end, as every later span does. Spans may overlap
-    each other and cut into tokens. O(len(tokens) + len(spans)).
+
+def first_overlaps(bounds: Iterable[tuple[int, int]],
+                   spans: Sequence[EntitySpan]) -> list[Optional[EntitySpan]]:
+    """For each token, given by its (start, end) offsets, the first span in
+    `spans` that overlaps it, or None.
+
+    Relies on two orderings the caller establishes: tokens sorted by start
+    (token_bounds gives that order) and `spans` sorted by (start, -len). A
+    span with end <= the token's start is then dead for every later token,
+    so one pointer skips it for good; the first live span overlaps the
+    token or starts at or after its end, as every later span does. Spans
+    may overlap each other and cut into tokens. O(tokens + len(spans)).
     """
     out: list[Optional[EntitySpan]] = []
     n = len(spans)
     i = 0
-    for tok in tokens:
-        while i < n and spans[i].end <= tok.start:
+    for start, end in bounds:
+        while i < n and spans[i].end <= start:
             i += 1
-        out.append(spans[i] if i < n and spans[i].start < tok.end else None)
+        out.append(spans[i] if i < n and spans[i].start < end else None)
     return out
 
 
-def spans_to_bio(doc: Document, toks: Optional[Sequence[Token]] = None) -> list[str]:
-    """One label per token of `toks` (default: tokenize(doc.text)): B-tag on
-    the token holding an entity's first character, I-tag on the remaining
-    overlapped tokens, O elsewhere.
+def spans_to_bio(doc: Document, toks: Optional[Sequence] = None) -> list[str]:
+    """One label per token of `toks`, Tokens or their (start, end) offsets
+    (default: token_bounds(doc.text)): B-tag on the token holding an
+    entity's first character, I-tag on the remaining overlapped tokens, O
+    elsewhere.
 
     Raises EntityTokenMisalignment when an entity boundary falls strictly
     inside a token; the caller decides whether to re-tokenize or reject.
     """
-    if toks is None:
-        toks = tokenize(doc.text)
-    labels = ["O"] * len(toks)
+    bounds = token_bounds(doc.text) if toks is None else [tok[-2:] for tok in toks]
+    labels = ["O"] * len(bounds)
     # Document entities are sorted by start and disjoint, which is the
     # (start, -len) order first_overlaps needs
-    hits = first_overlaps(toks, doc.entities)
-    for t_i, (tok, ent) in enumerate(zip(toks, hits)):
+    hits = first_overlaps(bounds, doc.entities)
+    for t_i, ((start, end), ent) in enumerate(zip(bounds, hits)):
         if ent is None:
             continue
-        if tok.start < ent.start or ent.end < tok.end:
+        if start < ent.start or ent.end < end:
             raise EntityTokenMisalignment(
                 f"doc {doc.id!r}: entity [{ent.start},{ent.end}) splits token "
-                f"{tok.surface!r} [{tok.start},{tok.end})")
-        prefix = "B" if tok.start == ent.start else "I"
+                f"{doc.text[start:end]!r} [{start},{end})")
+        prefix = "B" if start == ent.start else "I"
         labels[t_i] = f"{prefix}-{ent.tag}"
     return labels
 

@@ -19,10 +19,11 @@ import logging
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Corpus, DeidError, first_overlaps, token_surfaces, tokenize
+from .core import Corpus, DeidError, first_overlaps, token_bounds, token_surfaces
 from .evalmetrics import label_tokens
 
 logger = logging.getLogger("deidkit.corpusstats")
@@ -133,19 +134,24 @@ def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
     stop = {s.lower() for s in (stoplist or ())}
     other = corpus.schema.other
     counts: dict = {}
+    kept: dict = {}  # surface -> its cleaned form, or "" when it is dropped
     for doc in corpus:
-        toks = tokenize(doc.text)
+        text = doc.text
+        bounds = token_bounds(text)
         # Document entities are sorted by start and disjoint, so this subset
         # is already in the (start, -len) order first_overlaps needs
         phi = [ent for ent in doc.entities if ent.tag != other]
         cleaned: list[str] = []
         near: list[bool] = []
-        for tok, hit in zip(toks, first_overlaps(toks, phi)):
-            c = _clean_token(tok.surface)
-            if not c or c in stop:
-                continue
-            cleaned.append(c)
-            near.append(hit is not None)
+        for (start, end), hit in zip(bounds, first_overlaps(bounds, phi)):
+            surface = text[start:end]
+            c = kept.get(surface)
+            if c is None:
+                c = _clean_token(surface)
+                c = kept[surface] = "" if c in stop else c
+            if c:
+                cleaned.append(c)
+                near.append(hit is not None)
         if scope == PHI_ADJACENT:
             near = _dilate(near, window)
         for i in range(len(cleaned) - n + 1):
@@ -293,13 +299,11 @@ def class_weights(corpus: Corpus, cap: float = 20.0) -> ClassWeights:
         raise ValueError(f"weight cap {cap} is not a finite number >= 0")
     if len(corpus) == 0:
         raise EmptyCorpus("cannot weight an empty corpus")
-    counts = {tag: 0 for tag in corpus.schema.tags}
-    total = 0
+    tally: Counter = Counter()
     for doc in corpus:
-        toks = tokenize(doc.text)
-        for label in label_tokens(doc.text, doc.entities, corpus.schema.other, toks):
-            counts[label] += 1
-            total += 1
+        tally.update(label_tokens(doc.text, doc.entities, corpus.schema.other))
+    counts = {tag: tally[tag] for tag in corpus.schema.tags}
+    total = sum(counts.values())
     if total == 0:
         raise EmptyCorpus("corpus has no tokens")
     per_tag = {}

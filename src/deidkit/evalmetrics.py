@@ -14,10 +14,11 @@ average.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import Corpus, DeidError, EntitySpan, TagSchema, Token, first_overlaps, tokenize
+from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, token_bounds
 
 TOKEN = "token"
 ENTITY_STRICT = "entity_strict"
@@ -156,16 +157,16 @@ def _as_pred_map(pred: Union[Corpus, PredMap]) -> PredMap:
 
 
 def label_tokens(doc_text: str, spans: Sequence[EntitySpan], other: str,
-                 toks: Optional[Sequence[Token]] = None) -> list:
-    """Tag per token of `toks` (default: tokenize(doc_text)) by overlap: a
-    token takes the tag of the span covering it, earliest-starting (then
-    longest) span first. Tolerates spans that are unsorted, overlapping or
-    not aligned to token boundaries."""
-    if toks is None:
-        toks = tokenize(doc_text)
+                 toks: Optional[Sequence] = None) -> list:
+    """Tag per token of `toks`, Tokens or their (start, end) offsets
+    (default: token_bounds(doc_text)), by overlap: a token takes the tag of
+    the span covering it, earliest-starting (then longest) span first.
+    Tolerates spans that are unsorted, overlapping or not aligned to token
+    boundaries."""
+    bounds = token_bounds(doc_text) if toks is None else [tok[-2:] for tok in toks]
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     return [other if span is None else span.tag
-            for span in first_overlaps(toks, ordered)]
+            for span in first_overlaps(bounds, ordered)]
 
 
 def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],
@@ -193,12 +194,13 @@ def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],
 
     matrix = ConfusionMatrix(labels=tuple(schema.tags))
     if mode == TOKEN:
+        pairs: Counter = Counter()
         for doc in gold:
-            toks = tokenize(doc.text)
-            gold_labels = label_tokens(doc.text, doc.entities, schema.other, toks)
-            pred_labels = label_tokens(doc.text, pred_map[doc.id], schema.other, toks)
-            for g, p in zip(gold_labels, pred_labels):
-                matrix.add(g, p)
+            bounds = token_bounds(doc.text)
+            pairs.update(zip(label_tokens(doc.text, doc.entities, schema.other, bounds),
+                             label_tokens(doc.text, pred_map[doc.id], schema.other, bounds)))
+        for (g, p), n in pairs.items():
+            matrix.add(g, p, n)
     else:
         # exact-span matching; misses and spurious spans land in the OTHERS
         # row/column, which acts as the none-of-the-above sink

@@ -18,12 +18,10 @@ JSON integers; a malformed span or token record excludes only its document.
 
 from __future__ import annotations
 
+import _sre
 import json
 import os
 import re
-import select
-import shlex
-import subprocess
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -31,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .annot_io import decode_spans
+from .annot_io import decode_spans, load_lexicon
 from .core import (
     CANONICAL_SCHEMA,
     BackendTimeout,
@@ -45,7 +43,11 @@ from .core import (
     bio_to_spans,
     is_bio_label,
 )
-from .surrogate import load_lexicon
+
+try:  # the case pairs re.I matches beyond simple lowercasing: s/ſ, i/ı, ...
+    from re._casefix import _EXTRA_CASES
+except ImportError:  # Python 3.10
+    from sre_compile import _ignorecase_fixes as _EXTRA_CASES
 
 BUILTIN_RULES = "builtin_rules"
 EXTERNAL = "external"
@@ -91,9 +93,36 @@ def _compile(tag: str, pattern: str, flags: str = "") -> Rule:
         raise InvalidPattern(f"{tag} pattern {pattern!r}: {exc}") from exc
 
 
+def _lexicon_pattern(entries) -> str:
+    """The entries as one prefix trie (the regex form of Aho-Corasick) for
+    re.I: at each start, the longest whole-phrase entry. Characters re.I
+    equates share a node, so the entries that match at one start lie on one
+    path, where the longer is tried first."""
+    root: dict = {}
+    for entry in entries:
+        node = root
+        for ch in entry:  # keyed by the least character that re.I equates with ch
+            lower = _sre.unicode_tolower(ord(ch))
+            node = node.setdefault(min((lower, *_EXTRA_CASES.get(lower, ()))), (ch, {}))[1]
+        node[None] = None  # an entry ends here
+
+    def emit(node: dict) -> str:
+        chain = ""
+        while len(node) == 1 and None not in node:  # no branch: no group
+            ((ch, node),) = node.values()
+            chain += re.escape(ch)
+        alts = "|".join(re.escape(ch) + emit(child) for ch, child in filter(None, node.values()))
+        if None not in node:  # two or more branches
+            return f"{chain}(?:{alts})"
+        return f"{chain}(?:{alts})?" if alts else chain
+
+    first = "".join(re.escape(ch) for ch, _ in filter(None, root.values()))
+    return rf"(?=[{first}])\b{emit(root)}\b"
+
+
 def load_rulebook(path=None) -> Rulebook:
-    """Load a rulebook JSON; default is the packaged baseline. Lexicon
-    entries become case-insensitive whole-phrase alternation patterns."""
+    """Load a rulebook JSON; default is the packaged baseline. Each lexicon
+    becomes one case-insensitive pattern of whole phrases, longest first."""
     if path is None:
         raw = (
             resources.files("deidkit.data").joinpath("rulebook.json")
@@ -104,9 +133,7 @@ def load_rulebook(path=None) -> Rulebook:
     data = json.loads(raw)
     rules = [_compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]]
     for tag, source in data.get("lexicons", {}).items():
-        entries = load_lexicon(source)
-        alternation = "|".join(re.escape(e) for e in sorted(entries, key=len, reverse=True))
-        rules.append(_compile(tag, rf"\b(?:{alternation})\b", "i"))
+        rules.append(_compile(tag, _lexicon_pattern(load_lexicon(source)), "i"))
     return Rulebook(
         name=data.get("name", "rulebook"),
         rules=tuple(rules),
@@ -252,9 +279,12 @@ class _SubprocessWire(_Wire):
     non-blocking pipes: `receive` writes queued request lines as stdin takes
     them while it waits for reply lines on stdout, in any order. A line that
     is not a JSON object with a string or integer id is dropped; once stdout
-    closes, `receive` raises ProtocolViolation."""
+    closes, `receive` raises ProtocolViolation. The process modules load
+    with the first such wire."""
 
     def __init__(self, command: str, timeout_ms: int) -> None:
+        import shlex
+        import subprocess
         self.timeout_s = timeout_ms / 1000.0
         self.proc = subprocess.Popen(shlex.split(command), stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, bufsize=0)
@@ -267,6 +297,7 @@ class _SubprocessWire(_Wire):
         self._unsent += json.dumps(payload, ensure_ascii=False).encode("utf-8") + b"\n"
 
     def receive(self, timeout: float) -> list:
+        import select
         deadline = time.monotonic() + timeout
         replies: list = []
         while not replies:
@@ -296,6 +327,7 @@ class _SubprocessWire(_Wire):
         return replies
 
     def close(self) -> None:
+        import subprocess
         self.proc.stdin.close()  # unbuffered: nothing left to flush into a dead pipe
         self.proc.terminate()
         try:

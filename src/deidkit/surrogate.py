@@ -18,10 +18,9 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from importlib import resources
-from pathlib import Path
 from typing import Optional
 
+from .annot_io import MissingLexicon, load_lexicon
 from .core import Corpus, DeidError, Document, EntitySpan
 
 AGE_PRESERVE = "preserve"
@@ -40,10 +39,6 @@ _TITLE_RE = re.compile(r"^((?:Dr|Prof|Mr|Mrs|Ms)\.?\s+)", re.IGNORECASE)
 
 class UnparseableDate(DeidError):
     """A DATE surface outside the supported formats."""
-
-
-class MissingLexicon(DeidError):
-    """A lexicon path that does not exist or holds no entries."""
 
 
 class PlanIncomplete(DeidError):
@@ -250,33 +245,6 @@ def shift_date_text(text: str, days: int = 0, minutes: int = 0) -> str:
     return render_date(dt, shape)
 
 
-# --- lexicons -------------------------------------------------------------
-
-_lexicon_cache: dict = {}
-
-
-def load_lexicon(source: str) -> tuple[str, ...]:
-    """`source` is either a packaged lexicon filename or a filesystem path."""
-    if source in _lexicon_cache:
-        return _lexicon_cache[source]
-    packaged = resources.files("deidkit.data.lexicons").joinpath(source)
-    if "/" not in source and packaged.is_file():
-        raw = packaged.read_text(encoding="utf-8")
-    else:
-        p = Path(source)
-        if not p.is_file():
-            raise MissingLexicon(f"lexicon not found: {source}")
-        raw = p.read_text(encoding="utf-8")
-    entries = tuple(
-        line.strip() for line in raw.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    if not entries:
-        raise MissingLexicon(f"lexicon is empty: {source}")
-    _lexicon_cache[source] = entries
-    return entries
-
-
 def _lexicon_for(tag: str, cfg: SurrogateConfig) -> tuple[str, ...]:
     source = cfg.locale_lexicons.get(tag, _LEXICON_TAGS.get(tag))
     if source is None:
@@ -296,12 +264,11 @@ def _replace_age(surface: str, cfg: SurrogateConfig, stream: _KeyedStream) -> Op
         return None
     if not _AGE_RE.match(surface.strip()):
         return _class_preserving(surface, stream)
-    age = int(surface)
-    k = cfg.age_jitter_years
-    candidates = [a for a in range(max(age - k, 0), age + k + 1) if a != age]
-    if not candidates:
-        return None
-    return str(candidates[stream.index(len(candidates))])
+    age, k = int(surface), cfg.age_jitter_years
+    # the candidates are low..age+k without age (k > 0): draw an index, not the list
+    low = max(age - k, 0)
+    drawn = low + stream.index(age + k - low)
+    return str(drawn + (drawn >= age))
 
 
 def _draw_distinct(surface: str, pool: tuple[str, ...], stream: _KeyedStream) -> Optional[str]:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import string
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from deidkit.annot_io import (
     ENTITY_ELEMENT,
@@ -555,3 +556,69 @@ def oracle_bertscore(cand, ref) -> dict:
     recall = sum(r_scores) / len(r_scores)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
+
+
+# --- lexicon patterns: the length-sorted alternation ------------------------
+
+def oracle_lexicon_pattern(entries) -> str:
+    """Every entry as one alternative, longest first, to compile with re.I:
+    at each start the regex tries the alternatives in order, so it takes
+    the longest entry that ends on a word boundary."""
+    alternation = "|".join(re.escape(e) for e in sorted(entries, key=len, reverse=True))
+    return rf"\b(?:{alternation})\b"
+
+
+# --- span and document checks in __post_init__ ------------------------------
+
+@dataclass(frozen=True)
+class OracleEntitySpan:
+    start: int
+    end: int
+    tag: str
+    surface: str
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.start >= self.end:
+            raise SpanOutOfRange(f"bad span offsets [{self.start}, {self.end})")
+        if not self.surface:
+            raise SpanOutOfRange("span surface must be non-empty")
+
+
+@dataclass(frozen=True)
+class OracleDocument:
+    """Sorts every entity tuple, then checks each entity in that order."""
+
+    id: str
+    text: str
+    entities: tuple = ()
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("document id must be non-empty")
+        ents = tuple(sorted(self.entities, key=lambda e: (e.start, e.end)))
+        object.__setattr__(self, "entities", ents)
+        prev_end = 0
+        for ent in ents:
+            if ent.end > len(self.text):
+                raise SpanOutOfRange(
+                    f"span {ent.start}:{ent.end} outside text of {len(self.text)}")
+            if ent.start < prev_end:
+                raise ValueError(f"doc {self.id!r}: overlapping entities at offset {ent.start}")
+            if self.text[ent.start : ent.end] != ent.surface:
+                raise ValueError(
+                    f"doc {self.id!r}: surface mismatch at [{ent.start},{ent.end}): "
+                    f"{self.text[ent.start:ent.end]!r} != {ent.surface!r}"
+                )
+            prev_end = ent.end
+
+
+# --- age jitter from the list of candidates ----------------------------------
+
+def oracle_jitter_age(age: int, k: int, stream):
+    """Every age within k years of `age`, other than age itself and not
+    negative, listed; the stream picks one. None when there is none."""
+    candidates = [a for a in range(max(age - k, 0), age + k + 1) if a != age]
+    if not candidates:
+        return None
+    return str(candidates[stream.index(len(candidates))])

@@ -238,8 +238,10 @@ def test_recognize_builds_each_document_twice(tmp_path, corpus_path, mock_cmd, m
     # once when read, once as the prediction: the wire's checked document is
     # the one written, not rebuilt
     endpoint = f"{mock_cmd} --gold {corpus_path}" if backend == "mock" else backend
-    built, real = [], Document.__post_init__
-    monkeypatch.setattr(Document, "__post_init__", lambda doc: built.append(doc.id) or real(doc))
+    built, real = [], Document.__init__
+    monkeypatch.setattr(Document, "__init__",
+                        lambda doc, *args, **kwargs: real(doc, *args, **kwargs) or
+                        built.append(doc.id))
     assert run("recognize", "--in", corpus_path, "--out", tmp_path / "pred.jsonl",
                "--backend", endpoint) == 0
     assert sorted(built) == ["d1", "d1", "d2", "d2"]
@@ -499,6 +501,18 @@ def test_run_matrix_rejects_seed(tmp_path, caplog):
     assert "'seed'" in caplog.text
 
 
+@pytest.mark.parametrize("side", ["train_sets", "test_sets"])
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", ".", "..", "a\0b"])
+def test_run_matrix_refuses_set_names_outside_out_dir(tmp_path, corpus_path, caplog, side, name):
+    grid = {"train_sets": {}, "test_sets": {}}
+    grid[side][name] = str(corpus_path)
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps(grid))
+    assert run("run-matrix", matrix_path, "--out-dir", tmp_path / "work" / "mx" / "sub") == 1
+    assert repr(name) in caplog.text
+    assert not (tmp_path / "work").exists()  # nothing written, not even the out dir
+
+
 def test_run_matrix_unions_conll_files(tmp_path, corpus_path):
     # read_conll numbers documents doc-0, doc-1, ... in every file
     a, b = tmp_path / "a.conll", tmp_path / "b.conll"
@@ -540,6 +554,17 @@ def test_deidentify_config_rejects_top_level_seed(tmp_path, corpus_path, caplog)
     assert run("deidentify", "--in", corpus_path, "--out", tmp_path / "o.jsonl",
                "--config", cfg) == 1
     assert "'seed'" in caplog.text
+
+
+@pytest.mark.parametrize("flag", ["--map", "--config"])
+def test_deeply_nested_json_exits_one(tmp_path, corpus_path, caplog, flag):
+    # json.loads raises RecursionError on it, not JSONDecodeError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    command = "map-tags" if flag == "--map" else "deidentify"
+    assert run(command, "--in", corpus_path, "--out", tmp_path / "o.jsonl", flag, deep) == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "recursion" in errors[0].getMessage()
 
 
 def test_config_feeds_deidentify(tmp_path, corpus_path):

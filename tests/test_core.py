@@ -1,7 +1,8 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from deidkit.core import (
     CANONICAL_SCHEMA,
@@ -11,13 +12,14 @@ from deidkit.core import (
     EntitySpan,
     EntityTokenMisalignment,
     InvalidBioSequence,
+    UnknownTag,
     bio_to_spans,
     build_schema,
     spans_to_bio,
     tokenize,
 )
 
-from _oracles import oracle_check_bio, random_doc
+from _oracles import OracleDocument, OracleEntitySpan, oracle_check_bio, random_doc
 
 
 def offsets(text):
@@ -95,6 +97,56 @@ def test_document_sorts_entities():
 def test_document_rejects_bad_spans(bad):
     with pytest.raises(ValueError):
         Document(id="d", text="a b c", entities=bad)
+
+
+def _built(make, *args):
+    """("ok", the fields, nested spans as tuples) or (error class, message)."""
+    try:
+        return "ok", dataclasses.astuple(make(*args))
+    except Exception as exc:  # the classes are what is compared
+        return type(exc), str(exc)
+
+
+@example("abcdef", "d", [(2 / 7, 2, "ID", None), (2 / 7, 1, "ID", "a")])  # one start, two ends
+@given(st.text("ab \n", min_size=1, max_size=12), st.sampled_from(["d", "d", "d", ""]),
+       st.lists(st.tuples(st.floats(0, 1), st.integers(-1, 4), st.sampled_from(["AGE", "ID"]),
+                          st.sampled_from([None, None, None, "", "a", "ab"])), max_size=5))
+def test_constructors_match_the_post_init_versions(text, doc_id, raw_spans):
+    # valid and invalid spans, in any order; a span starts at a share of the
+    # text (or one before it), and a surface of None is the exact slice
+    new_spans, old_spans = [], []
+    for at, length, tag, surface in raw_spans:
+        start = round(at * (len(text) + 1)) - 1
+        end = start + length
+        fields = (start, end, tag, text[max(start, 0):end] if surface is None else surface)
+        built = _built(EntitySpan, *fields)
+        assert built == _built(OracleEntitySpan, *fields)
+        if built[0] == "ok":
+            new_spans.append(EntitySpan(*fields))
+            old_spans.append(OracleEntitySpan(*fields))
+    assert _built(Document, doc_id, text, tuple(new_spans), {"k": 1}) == \
+        _built(OracleDocument, doc_id, text, tuple(old_spans), {"k": 1})
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_document_constructor_matches_on_valid_shuffled_entities(seed):
+    rng = random.Random(seed)
+    doc = random_doc(rng, "d")
+    fields = [dataclasses.astuple(e) for e in doc.entities]
+    rng.shuffle(fields)
+    new = Document(doc.id, doc.text, tuple(EntitySpan(*f) for f in fields), doc.meta)
+    old = OracleDocument(doc.id, doc.text, tuple(OracleEntitySpan(*f) for f in fields), doc.meta)
+    assert dataclasses.astuple(new) == dataclasses.astuple(old)
+    assert new == doc and hash(new.entities) == hash(doc.entities)
+
+
+def test_corpus_names_the_first_fault_in_document_order():
+    a = Document(id="a", text="x", entities=(EntitySpan(0, 1, "NAME", "x"),))
+    b = Document(id="b", text="y")
+    with pytest.raises(UnknownTag, match="tag 'NAME'"):
+        Corpus(documents=(b, a, b), schema=CANONICAL_SCHEMA)
+    with pytest.raises(ValueError, match="duplicate document id 'b'"):
+        Corpus(documents=(b, b, a), schema=CANONICAL_SCHEMA)
 
 
 def test_entity_span_rejects_empty():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -42,6 +44,15 @@ def modules_after(code: str, tmp_path) -> set:
     probe = f"{code}\nimport sys\nopen({str(listing)!r}, 'w').write(' '.join(sys.modules))"
     subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True)
     return set(listing.read_text().split())
+
+
+def test_setup_probe_loads_neither_surrogates_nor_process_modules(tmp_path):
+    # the benchmark's set-up probe: the rulebook reads its lexicons through
+    # annot_io, and the process modules wait for the first subprocess wire
+    loaded = modules_after("import deidkit.cli; from deidkit.recognize import default_rulebook; "
+                           "default_rulebook()", tmp_path)
+    assert "deidkit.recognize" in loaded
+    assert not loaded & {"deidkit.surrogate", "subprocess", "select"}
 
 
 def test_cli_parser_imports_no_heavy_module(tmp_path):
@@ -139,3 +150,32 @@ def test_lazy_table_resolves_every_public_name():
     from deidkit import cli  # not in the table: falls through to the submodule
 
     assert cli is importlib.import_module("deidkit.cli")
+
+
+def _literal(path: Path, name: str):
+    """The value of the literal that `path` assigns to `name` (a module
+    constant or an attribute such as self._hooks)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == name or getattr(t, "attr", None) == name
+                for t in node.targets):
+            if isinstance(node.value, ast.Dict):  # keys are literals, values are methods
+                return [ast.literal_eval(key) for key in node.value.keys]
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_perfbench_traces_functions_that_exist():
+    # a renamed function would leave its per-layer metric at zero without an error
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = {*_literal(bench / "bench.py", "SELF_TIMED"), *_literal(bench / "bench.py", "SCALED"),
+             *_literal(bench / "spans.py", "_hooks")}
+    assert len(names) > 20
+    for name in names:
+        module_name, function = name.split(".")
+        if module_name == "evalmetrics" and function.startswith("evaluate_"):
+            function = "evaluate"  # spans.py names evaluate's spans by mode
+        module = importlib.import_module(f"deidkit.{module_name}")
+        fn = getattr(module, function, None)
+        # the tracer wraps only the functions a module defines itself
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name

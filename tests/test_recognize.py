@@ -24,6 +24,7 @@ from deidkit.recognize import (
     Rule,
     Rulebook,
     SpanOutOfRange,
+    _lexicon_pattern,
     _parse_response,
     _SubprocessWire,
     align_token_predictions,
@@ -34,7 +35,10 @@ from deidkit.recognize import (
     recognize_rules,
 )
 
-from _oracles import oracle_document_from_record, oracle_recognize_rules, oracle_validate_spans
+from _oracles import (
+    oracle_document_from_record, oracle_lexicon_pattern, oracle_recognize_rules,
+    oracle_validate_spans,
+)
 
 
 NOTE = ("Patient Asha Rao, CRNO: 483920, aged 42 years, phone 9876543210, "
@@ -123,6 +127,50 @@ def test_rules_overlap_resolution_matches_scan_oracle(seed):
 
 def test_rules_match_scan_oracle_on_default_rulebook():
     assert recognize_rules(NOTE * 3) == oracle_recognize_rules(NOTE * 3)
+
+
+# re.I treats s, S and ſ as one letter, k, K and the Kelvin sign as another,
+# and i, I and the dotless ı as a third; the rest are spaces, punctuation and
+# regex metacharacters
+LEXICON_CHARS = "abkK\u212asSſiIı .-'*?+()[]{}|\\^$"
+# each letter to one that re.I equates with it but str.lower does not
+IGNORECASE_TWIN = str.maketrans({"s": "ſ", "S": "ſ", "ſ": "s", "k": "\u212a", "K": "\u212a",
+                                 "\u212a": "k", "i": "ı", "I": "ı", "ı": "i"})
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(LEXICON_CHARS, min_size=1, max_size=5), min_size=1, max_size=6),
+       st.data())
+def test_lexicon_trie_finds_what_the_alternation_finds(words, data):
+    entries = {}  # insertion-ordered, as a lexicon file is
+    for word in words:
+        cut = data.draw(st.integers(1, len(word)))
+        tail, twin_tail = (data.draw(st.text(LEXICON_CHARS, min_size=1, max_size=4))
+                           for _ in range(2))
+        # the word, a prefix of it, longer entries that start with it as re.I
+        # reads it, a case variant
+        entries.update(dict.fromkeys((word, word[:cut], word + tail,
+                                      word.translate(IGNORECASE_TWIN) + twin_tail,
+                                      word.swapcase())))
+    entries = [e for e in entries if e]
+    pieces = data.draw(st.lists(st.sampled_from(entries) | st.text(LEXICON_CHARS, max_size=3),
+                                max_size=8))
+    text = "".join(pieces)
+    trie = re.compile(_lexicon_pattern(entries), re.I)
+    alternation = re.compile(oracle_lexicon_pattern(entries), re.I)
+    assert [m.span() for m in trie.finditer(text)] == \
+        [m.span() for m in alternation.finditer(text)]
+
+
+def test_lexicon_entries_equal_under_ignorecase_share_a_trie_node(tmp_path):
+    # keyed by str.lower, "st" and "ſt x" would sit in two branches and the
+    # trie would stop at "st"; the longest entry wins, as in the alternation
+    lexicon = tmp_path / "places.txt"
+    lexicon.write_text("st\nſt x\n", encoding="utf-8")
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"patterns": [], "lexicons": {"LOCATION": str(lexicon)}}))
+    spans = recognize_rules("go to st x, not sty", load_rulebook(path))
+    assert [(s.start, s.end, s.surface) for s in spans] == [(6, 10, "st x")]
 
 
 # --- token alignment -------------------------------------------------------
