@@ -70,7 +70,9 @@ def _schema_arg(value: str):
 
 
 def _write_json(obj, path: Optional[str] = None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`obj` as sorted-key JSON; a dataclass is written as its fields."""
+    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                      default=dataclasses.asdict) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -153,12 +155,8 @@ def cmd_recognize(args) -> int:
     docs = tuple(p.document for p in result.predictions)
     annot_io.write_corpus(Corpus(documents=docs), args.out)
     if args.report:
-        _write_json(
-            {"predicted": len(result.predictions),
-             "excluded": [[d, r] for d, r in result.excluded],
-             "retries": result.retries},
-            args.report,
-        )
+        _write_json({"predicted": len(result.predictions), "excluded": result.excluded,
+                     "retries": result.retries}, args.report)
     for doc_id, reason in result.excluded:
         logger.warning("excluded %s: %s", doc_id, reason)
     return 0
@@ -171,11 +169,8 @@ def cmd_evaluate(args) -> int:
     report, matrix = evalmetrics.evaluate(gold, pred, mode=args.mode)
     sys.stdout.write(evalmetrics.format_report(report, matrix) + "\n")
     if args.out:
-        _write_json(
-            {"metrics": evalmetrics.report_to_dict(report),
-             "confusion": evalmetrics.confusion_to_dict(matrix)},
-            args.out,
-        )
+        _write_json({"metrics": evalmetrics.report_to_dict(report), "confusion": matrix},
+                    args.out)
     return 0
 
 
@@ -183,25 +178,15 @@ def cmd_kappa(args) -> int:
     from . import evalmetrics
     labels_a = Path(args.a).read_text(encoding="utf-8").split()
     labels_b = Path(args.b).read_text(encoding="utf-8").split()
-    rep = evalmetrics.cohens_kappa(labels_a, labels_b)
-    _write_json(
-        {"kappa": rep.kappa, "observed_agreement": rep.observed_agreement,
-         "expected_agreement": rep.expected_agreement, "n_items": rep.n_items,
-         "degenerate": rep.degenerate},
-        args.out,
-    )
+    _write_json(evalmetrics.cohens_kappa(labels_a, labels_b), args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
     from . import corpusstats, tagmap
     corpus = annot_io.read_corpus(args.infile, schema=None)
-    summary = corpusstats.summarize(corpus)
-    payload = {
-        "summary": corpusstats.summary_to_dict(summary),
-        "tag_distribution": tagmap.tag_distribution(corpus),
-    }
-    _write_json(payload, args.out)
+    _write_json({"summary": corpusstats.summarize(corpus),
+                 "tag_distribution": tagmap.tag_distribution(corpus)}, args.out)
     return 0
 
 
@@ -230,8 +215,8 @@ def cmd_compare(args) -> int:
     b = annot_io.read_corpus(args.b, schema=None)
     payload = {
         "jaccard_distance": corpusstats.jaccard_distance(a, b),
-        "a": corpusstats.summary_to_dict(corpusstats.summarize(a)),
-        "b": corpusstats.summary_to_dict(corpusstats.summarize(b)),
+        "a": corpusstats.summarize(a),
+        "b": corpusstats.summarize(b),
     }
     if args.bertscore:
         payload["bertscore"] = corpusstats.score_generation_quality(a, b)
@@ -242,8 +227,7 @@ def cmd_compare(args) -> int:
 def cmd_weights(args) -> int:
     from . import corpusstats
     corpus = annot_io.read_corpus(args.infile)
-    weights = corpusstats.class_weights(corpus, cap=args.cap)
-    _write_json({"n": weights.n, "per_tag": weights.per_tag}, args.out)
+    _write_json(corpusstats.class_weights(corpus, cap=args.cap), args.out)
     return 0
 
 
@@ -316,27 +300,26 @@ def cmd_run_matrix(args) -> int:
     for name, paths in sorted(train_sets.items()):
         union = _read_union(paths)
         annot_io.write_corpus(union, out_dir / "train" / f"{name}.conll")
-        weights = corpusstats.class_weights(union)
-        _write_json({"n": weights.n, "per_tag": weights.per_tag},
-                    out_dir / "train" / f"{name}.weights.json")
+        _write_json(corpusstats.class_weights(union), out_dir / "train" / f"{name}.weights.json")
     # predictions depend on the test set only: the train set never reaches
     # the recognizer, so each test set is recognized and scored once
-    scored = {}
+    cells = {}
     for test_name, test_corpus in test_corpora.items():
         result = recognize.recognize_corpus(test_corpus, backend)
-        scored[test_name] = evalmetrics.evaluate(test_corpus, result.as_pred_map(), mode=mode)
+        for doc_id, reason in result.excluded:
+            logger.warning("excluded %s: %s", doc_id, reason)
+        pred = result.as_pred_map()  # a cell scores the documents the backend answered
+        answered = Corpus(documents=tuple(d for d in test_corpus if d.id in pred),
+                          schema=test_corpus.schema)
+        report, matrix = evalmetrics.evaluate(answered, pred, mode=mode)
+        cells[test_name] = {"backend": backend.name or backend.kind, "confusion": matrix,
+                            "metrics": evalmetrics.report_to_dict(report)}
+        if result.excluded:
+            cells[test_name]["excluded"] = result.excluded
     for train_name in sorted(train_sets):
-        for test_name, (report, matrix) in scored.items():
-            _write_json(
-                {
-                    "train": train_name,
-                    "test": test_name,
-                    "backend": backend.name or backend.kind,
-                    "metrics": evalmetrics.report_to_dict(report),
-                    "confusion": evalmetrics.confusion_to_dict(matrix),
-                },
-                out_dir / "reports" / f"{train_name}__{test_name}.json",
-            )
+        for test_name, cell in cells.items():
+            _write_json({"train": train_name, "test": test_name, **cell},
+                        out_dir / "reports" / f"{train_name}__{test_name}.json")
     n_reports = len(train_sets) * len(test_sets)
     logger.info("wrote %d reports under %s", n_reports, out_dir / "reports")
     return 0

@@ -129,6 +129,10 @@ def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
     of a non-OTHERS entity."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     if scope not in (WHOLE_TEXT, PHI_ADJACENT):
         raise ValueError(f"bad scope {scope!r}")
     stop = {s.lower() for s in (stoplist or ())}
@@ -359,16 +363,3 @@ def split(corpus: Corpus, ratios: Sequence, seed: int = 0) -> dict:
         cursor += size
     return out
 
-
-def summary_to_dict(summary: CorpusSummary) -> dict:
-    return {
-        "n_summaries": summary.n_summaries,
-        "n_tokens_total": summary.n_tokens_total,
-        "n_unique_tokens": summary.n_unique_tokens,
-        "max_len": summary.max_len,
-        "min_len": summary.min_len,
-        "avg_len": summary.avg_len,
-        "n_original_tags": summary.n_original_tags,
-        "char_counts": summary.char_counts,
-        "word_length": dict(summary.word_length),
-    }

@@ -99,26 +99,16 @@ def report_from_confusion(matrix: ConfusionMatrix, schema: TagSchema,
     schema's PHI tags."""
     per_tag: dict = {}
     tp_sum = fp_sum = fn_sum = 0
-    for tag in schema.phi_tags:
+    for tag in schema.tags:
         tp = matrix.diagonal(tag)
         fp = matrix.col_sum(tag) - tp
         fn = matrix.row_sum(tag) - tp
         precision, recall, f1 = _prf(tp, fp, fn)
-        per_tag[tag] = {
-            "precision": precision, "recall": recall, "f1": f1,
-            "support": matrix.row_sum(tag),
-        }
-        tp_sum += tp
-        fp_sum += fp
-        fn_sum += fn
-    # OTHERS is scored per-tag for the curious but kept out of aggregates
-    tp_o = matrix.diagonal(schema.other)
-    p_o, r_o, f_o = _prf(tp_o, matrix.col_sum(schema.other) - tp_o,
-                         matrix.row_sum(schema.other) - tp_o)
-    per_tag[schema.other] = {
-        "precision": p_o, "recall": r_o, "f1": f_o,
-        "support": matrix.row_sum(schema.other),
-    }
+        per_tag[tag] = {"precision": precision, "recall": recall, "f1": f1, "support": tp + fn}
+        if tag != schema.other:  # OTHERS is scored per tag but kept out of aggregates
+            tp_sum += tp
+            fp_sum += fp
+            fn_sum += fn
 
     micro_p, micro_r, micro_f = _prf(tp_sum, fp_sum, fn_sum)
     phi = list(schema.phi_tags)
@@ -308,6 +298,3 @@ def report_to_dict(report: MetricsReport) -> dict:
         out["accuracy"] = report.accuracy
     return out
 
-
-def confusion_to_dict(matrix: ConfusionMatrix) -> dict:
-    return {"labels": list(matrix.labels), "counts": [list(r) for r in matrix.counts]}

@@ -133,7 +133,12 @@ def load_rulebook(path=None) -> Rulebook:
     data = json.loads(raw)
     rules = [_compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]]
     for tag, source in data.get("lexicons", {}).items():
-        rules.append(_compile(tag, _lexicon_pattern(load_lexicon(source)), "i"))
+        entries = load_lexicon(source)
+        try:  # both the trie builder and re.compile recurse once per nested group
+            rules.append(_compile(tag, _lexicon_pattern(entries), "i"))
+        except RecursionError as exc:
+            raise InvalidPattern(
+                f"{tag} lexicon {source}: entries nest too deep to compile") from exc
     return Rulebook(
         name=data.get("name", "rulebook"),
         rules=tuple(rules),

@@ -128,7 +128,7 @@ def _has_replaceable(surface: str) -> bool:
     return any(ch.isdigit() or ch.isalpha() for ch in surface)
 
 
-# --- date parsing with format memory -------------------------------------
+# --- date shifting in the surface's own layout ----------------------------
 
 _MONTH_FULL = (
     "January", "February", "March", "April", "May", "June",
@@ -141,108 +141,46 @@ _TIME_TAIL = r"(?:(?P<tsep>[ T])(?P<hh>\d{1,2}):(?P<mm>\d{2})(?::(?P<ss>\d{2}))?
 _DMY_NUM_RE = re.compile(r"^(?P<d>\d{1,2})(?P<sep>[-/.])(?P<m>\d{1,2})(?P=sep)(?P<y>\d{4})" + _TIME_TAIL + "$")
 _YMD_NUM_RE = re.compile(r"^(?P<y>\d{4})-(?P<m>\d{1,2})-(?P<d>\d{1,2})" + _TIME_TAIL + "$")
 _DMY_TEXT_RE = re.compile(r"^(?P<d>\d{1,2})\s+(?P<mon>[A-Za-z]{3,9})\s+(?P<y>\d{4})" + _TIME_TAIL + "$")
-
-
-@dataclass(frozen=True)
-class _DateShape:
-    order: str  # dmy_num | ymd_num | dmy_text
-    sep: str = "-"
-    day_pad: bool = True
-    month_pad: bool = True
-    month_full: bool = False  # textual month: full name vs 3-letter
-    month_case: str = "title"  # title | upper | lower
-    time_sep: str = ""
-    hour_pad: bool = True
-    has_seconds: bool = False
-    has_time: bool = False
-
-
-def _month_style(token: str) -> tuple[bool, str]:
-    case = "upper" if token.isupper() else "lower" if token.islower() else "title"
-    return len(token) > 3, case
-
-
-def parse_date_text(text: str) -> tuple[datetime, _DateShape]:
-    """Parse day-first numeric, ISO, or day-month-name forms, remembering
-    enough of the layout to re-render a shifted date identically styled."""
-    s = text.strip()
-    for order, pat in (("dmy_num", _DMY_NUM_RE), ("ymd_num", _YMD_NUM_RE), ("dmy_text", _DMY_TEXT_RE)):
-        m = pat.match(s)
-        if m is None:
-            continue
-        g = m.groupdict()
-        if order == "dmy_text":
-            month = _MONTH_INDEX.get(g["mon"].lower())
-            if month is None:
-                raise UnparseableDate(f"unknown month {g['mon']!r} in {text!r}")
-            month_full, month_case = _month_style(g["mon"])
-            sep, month_pad = " ", False
-        else:
-            month = int(g["m"])
-            month_full, month_case = False, "title"
-            sep = g.get("sep") or "-"
-            month_pad = len(g["m"]) == 2
-        try:
-            dt = datetime(
-                int(g["y"]), month, int(g["d"]),
-                int(g["hh"]) if g.get("hh") else 0,
-                int(g["mm"]) if g.get("mm") else 0,
-                int(g["ss"]) if g.get("ss") else 0,
-            )
-        except ValueError as exc:
-            raise UnparseableDate(f"{text!r}: {exc}") from exc
-        shape = _DateShape(
-            order=order,
-            sep=sep,
-            day_pad=len(g["d"]) == 2,
-            month_pad=month_pad,
-            month_full=month_full,
-            month_case=month_case,
-            time_sep=g.get("tsep") or "",
-            hour_pad=len(g["hh"]) == 2 if g.get("hh") else True,
-            has_seconds=bool(g.get("ss")),
-            has_time=bool(g.get("hh")),
-        )
-        return dt, shape
-    raise UnparseableDate(f"unsupported date format: {text!r}")
-
-
-def _render_month_name(month: int, shape: _DateShape) -> str:
-    name = _MONTH_FULL[month - 1]
-    if not shape.month_full:
-        name = name[:3]
-    if shape.month_case == "upper":
-        return name.upper()
-    if shape.month_case == "lower":
-        return name.lower()
-    return name
-
-
-def render_date(dt: datetime, shape: _DateShape) -> str:
-    day = f"{dt.day:02d}" if shape.day_pad else str(dt.day)
-    year = f"{dt.year:04d}"
-    if shape.order == "dmy_text":
-        body = f"{day} {_render_month_name(dt.month, shape)} {year}"
-    else:
-        month = f"{dt.month:02d}" if shape.month_pad else str(dt.month)
-        if shape.order == "ymd_num":
-            body = f"{year}-{month}-{day}"
-        else:
-            body = f"{day}{shape.sep}{month}{shape.sep}{year}"
-    if shape.has_time:
-        hour = f"{dt.hour:02d}" if shape.hour_pad else str(dt.hour)
-        body += f"{shape.time_sep}{hour}:{dt.minute:02d}"
-        if shape.has_seconds:
-            body += f":{dt.second:02d}"
-    return body
+_DATE_RES = (_DMY_NUM_RE, _YMD_NUM_RE, _DMY_TEXT_RE)
+_NUMERIC_FIELDS = {"d": "day", "m": "month", "y": "year", "hh": "hour", "mm": "minute",
+                   "ss": "second"}
 
 
 def shift_date_text(text: str, days: int = 0, minutes: int = 0) -> str:
-    """Shift a date surface on the calendar, keeping its textual layout.
-    Minute offsets apply only when the surface carries a time of day."""
-    dt, shape = parse_date_text(text)
-    dt = dt + timedelta(days=days, minutes=minutes if shape.has_time else 0)
-    return render_date(dt, shape)
+    """Shift a day-first numeric, ISO or day-month-name date surface on the
+    calendar and write each field back where it stands: a number as wide as
+    it was written, a month name as long as it was and in its upper or lower
+    case (title case otherwise). Minute offsets apply only when the surface
+    carries a time of day."""
+    s = text.strip()
+    match = next(filter(None, (pat.match(s) for pat in _DATE_RES)), None)
+    if match is None:
+        raise UnparseableDate(f"unsupported date format: {text!r}")
+    g = match.groupdict()
+    month = _MONTH_INDEX.get(g["mon"].lower()) if "mon" in g else int(g["m"])
+    if month is None:
+        raise UnparseableDate(f"unknown month {g['mon']!r} in {text!r}")
+    try:
+        dt = datetime(int(g["y"]), month, int(g["d"]),
+                      int(g["hh"] or 0), int(g["mm"] or 0), int(g["ss"] or 0))
+    except ValueError as exc:
+        raise UnparseableDate(f"{text!r}: {exc}") from exc
+    dt += timedelta(days=days, minutes=minutes if g["hh"] else 0)
+    parts, cursor = [], 0
+    for name, written in g.items():  # named groups do not nest: text order
+        if written is None or "sep" in name:  # a separator stays in its gap
+            continue
+        gap = s[cursor : match.start(name)]
+        parts.append(" " if gap.isspace() else gap)  # month-name fields, one space apart
+        if name == "mon":
+            full = _MONTH_FULL[dt.month - 1]
+            mon = full if len(written) > 3 else full[:3]
+            parts.append(mon.upper() if written.isupper() else
+                         mon.lower() if written.islower() else mon)
+        else:
+            parts.append(f"{getattr(dt, _NUMERIC_FIELDS[name]):0{len(written)}d}")
+        cursor = match.end(name)
+    return "".join(parts)
 
 
 def _lexicon_for(tag: str, cfg: SurrogateConfig) -> tuple[str, ...]:

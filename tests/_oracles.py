@@ -11,6 +11,7 @@ import random
 import re
 import string
 from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta
 
 from deidkit.annot_io import (
     ENTITY_ELEMENT,
@@ -33,6 +34,7 @@ from deidkit.core import (
     tokenize,
 )
 from deidkit.recognize import ProtocolViolation, SpanOutOfRange, default_rulebook
+from deidkit.surrogate import UnparseableDate
 from deidkit.syngen import (
     HIGH_REPETITION,
     LENGTH_OUT_OF_BOUNDS,
@@ -622,3 +624,118 @@ def oracle_jitter_age(age: int, k: int, stream):
     if not candidates:
         return None
     return str(candidates[stream.index(len(candidates))])
+
+
+# --- dates parsed into a shape record, then rendered field by field ----------
+
+_MONTH_FULL = (
+    "January", "February", "March", "April", "May", "June",
+    "July", "August", "September", "October", "November", "December",
+)
+_MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(_MONTH_FULL)}
+_MONTH_INDEX.update({name[:3].lower(): i + 1 for i, name in enumerate(_MONTH_FULL)})
+
+_TIME_TAIL = r"(?:(?P<tsep>[ T])(?P<hh>\d{1,2}):(?P<mm>\d{2})(?::(?P<ss>\d{2}))?)?"
+_DMY_NUM_RE = re.compile(r"^(?P<d>\d{1,2})(?P<sep>[-/.])(?P<m>\d{1,2})(?P=sep)(?P<y>\d{4})" + _TIME_TAIL + "$")
+_YMD_NUM_RE = re.compile(r"^(?P<y>\d{4})-(?P<m>\d{1,2})-(?P<d>\d{1,2})" + _TIME_TAIL + "$")
+_DMY_TEXT_RE = re.compile(r"^(?P<d>\d{1,2})\s+(?P<mon>[A-Za-z]{3,9})\s+(?P<y>\d{4})" + _TIME_TAIL + "$")
+
+
+@dataclass(frozen=True)
+class _DateShape:
+    order: str  # dmy_num | ymd_num | dmy_text
+    sep: str = "-"
+    day_pad: bool = True
+    month_pad: bool = True
+    month_full: bool = False  # textual month: full name vs 3-letter
+    month_case: str = "title"  # title | upper | lower
+    time_sep: str = ""
+    hour_pad: bool = True
+    has_seconds: bool = False
+    has_time: bool = False
+
+
+def _month_style(token: str) -> tuple:
+    case = "upper" if token.isupper() else "lower" if token.islower() else "title"
+    return len(token) > 3, case
+
+
+def oracle_parse_date_text(text: str) -> tuple:
+    """Parse day-first numeric, ISO, or day-month-name forms, remembering
+    enough of the layout to re-render a shifted date identically styled."""
+    s = text.strip()
+    for order, pat in (("dmy_num", _DMY_NUM_RE), ("ymd_num", _YMD_NUM_RE), ("dmy_text", _DMY_TEXT_RE)):
+        m = pat.match(s)
+        if m is None:
+            continue
+        g = m.groupdict()
+        if order == "dmy_text":
+            month = _MONTH_INDEX.get(g["mon"].lower())
+            if month is None:
+                raise UnparseableDate(f"unknown month {g['mon']!r} in {text!r}")
+            month_full, month_case = _month_style(g["mon"])
+            sep, month_pad = " ", False
+        else:
+            month = int(g["m"])
+            month_full, month_case = False, "title"
+            sep = g.get("sep") or "-"
+            month_pad = len(g["m"]) == 2
+        try:
+            dt = datetime(
+                int(g["y"]), month, int(g["d"]),
+                int(g["hh"]) if g.get("hh") else 0,
+                int(g["mm"]) if g.get("mm") else 0,
+                int(g["ss"]) if g.get("ss") else 0,
+            )
+        except ValueError as exc:
+            raise UnparseableDate(f"{text!r}: {exc}") from exc
+        shape = _DateShape(
+            order=order,
+            sep=sep,
+            day_pad=len(g["d"]) == 2,
+            month_pad=month_pad,
+            month_full=month_full,
+            month_case=month_case,
+            time_sep=g.get("tsep") or "",
+            hour_pad=len(g["hh"]) == 2 if g.get("hh") else True,
+            has_seconds=bool(g.get("ss")),
+            has_time=bool(g.get("hh")),
+        )
+        return dt, shape
+    raise UnparseableDate(f"unsupported date format: {text!r}")
+
+
+def _render_month_name(month: int, shape: _DateShape) -> str:
+    name = _MONTH_FULL[month - 1]
+    if not shape.month_full:
+        name = name[:3]
+    if shape.month_case == "upper":
+        return name.upper()
+    if shape.month_case == "lower":
+        return name.lower()
+    return name
+
+
+def oracle_render_date(dt: datetime, shape: _DateShape) -> str:
+    day = f"{dt.day:02d}" if shape.day_pad else str(dt.day)
+    year = f"{dt.year:04d}"
+    if shape.order == "dmy_text":
+        body = f"{day} {_render_month_name(dt.month, shape)} {year}"
+    else:
+        month = f"{dt.month:02d}" if shape.month_pad else str(dt.month)
+        if shape.order == "ymd_num":
+            body = f"{year}-{month}-{day}"
+        else:
+            body = f"{day}{shape.sep}{month}{shape.sep}{year}"
+    if shape.has_time:
+        hour = f"{dt.hour:02d}" if shape.hour_pad else str(dt.hour)
+        body += f"{shape.time_sep}{hour}:{dt.minute:02d}"
+        if shape.has_seconds:
+            body += f":{dt.second:02d}"
+    return body
+
+
+def oracle_shift_date_text(text: str, days: int = 0, minutes: int = 0) -> str:
+    dt, shape = oracle_parse_date_text(text)
+    dt = dt + timedelta(days=days, minutes=minutes if shape.has_time else 0)
+    return oracle_render_date(dt, shape)

@@ -216,8 +216,11 @@ def test_recognize_rules_then_evaluate(tmp_path, corpus_path):
     assert run("evaluate", "--gold", corpus_path, "--pred", pred,
                "--out", metrics) == 0
     payload = json.loads(metrics.read_text())
-    assert "micro" in payload["metrics"]
-    assert payload["confusion"]["labels"][-1] == "OTHERS"
+    assert set(payload) == {"metrics", "confusion"}
+    assert set(payload["metrics"]) == {"mode", "per_tag", "micro", "macro", "weighted",
+                                       "accuracy"}
+    assert payload["confusion"] == {"labels": list(CANONICAL_SCHEMA.tags),
+                                    "counts": payload["confusion"]["counts"]}
 
 
 def test_recognize_env_override(tmp_path, corpus_path, mock_cmd, monkeypatch):
@@ -271,6 +274,11 @@ def test_stats_command(tmp_path, corpus_path):
     out = tmp_path / "stats.json"
     assert run("stats", "--in", corpus_path, "--out", out) == 0
     payload = json.loads(out.read_text())
+    assert set(payload) == {"summary", "tag_distribution"}
+    assert set(payload["summary"]) == {"n_summaries", "n_tokens_total", "n_unique_tokens",
+                                       "max_len", "min_len", "avg_len", "n_original_tags",
+                                       "char_counts", "word_length"}
+    assert set(payload["summary"]["word_length"]) == {"mean", "se", "median", "min", "max"}
     assert payload["summary"]["n_summaries"] == 2
     assert payload["tag_distribution"]["DATE"]["entities"] == 2
 
@@ -282,6 +290,13 @@ def test_ngrams_csv(tmp_path):
     out = tmp_path / "grams.csv"
     assert run("ngrams", "--in", src, "--n", 2, "--k", 3, "--out", out) == 0
     assert out.read_text() == "ngram,count\nmg po,2\npo mg,1\n"
+
+
+@pytest.mark.parametrize("flags", [["--k", -1], ["--scope", "phi_adjacent", "--window", -2]])
+def test_ngrams_refuses_negative_k_and_window(corpus_path, capsys, caplog, flags):
+    assert run("ngrams", "--in", corpus_path, "--n", 1, *flags) == 1
+    assert capsys.readouterr().out == ""
+    assert "must be >= 0" in caplog.text
 
 
 def test_compare_command(tmp_path, corpus_path):
@@ -483,6 +498,26 @@ def test_run_matrix_report_names_backend_kind_not_endpoint(tmp_path, corpus_path
     assert json.loads(report)["backend"] == "external"
     assert json.loads(report)["metrics"]["micro"]["f1"] == 1.0
     assert str(tmp_path) not in report
+
+
+def test_run_matrix_scores_the_documents_the_backend_answered(tmp_path, corpus_path, mock_cmd,
+                                                             caplog):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"d2": "error"}))
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({
+        "train_sets": {"a": [str(corpus_path)]}, "test_sets": {"dev": str(corpus_path)},
+        "backend": f"{mock_cmd} --gold {corpus_path} --script {script}",
+        "mode": "entity_strict", "out_dir": str(tmp_path / "mx"),
+    }))
+    assert run("run-matrix", matrix_path) == 0
+    report = json.loads((tmp_path / "mx" / "reports" / "a__dev.json").read_text())
+    reason = "ProtocolViolation: backend_error: scripted recognizer failure"
+    assert report["excluded"] == [["d2", reason]]
+    assert f"excluded d2: {reason}" in caplog.text
+    # d1 alone, echoed back: its 7 entities, each matched exactly
+    assert sum(map(sum, report["confusion"]["counts"])) == 7
+    assert report["metrics"]["micro"]["f1"] == 1.0
 
 
 def test_run_matrix_rejects_unknown_keys(tmp_path, corpus_path):

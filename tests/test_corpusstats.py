@@ -21,7 +21,6 @@ from deidkit.corpusstats import (
     ngram_profile,
     split,
     summarize,
-    summary_to_dict,
     tag_weight,
     vocabulary,
 )
@@ -63,13 +62,6 @@ def test_summarize_word_length_stats():
 def test_summarize_counts_original_tags(sample_corpus):
     s = summarize(sample_corpus)
     assert s.n_original_tags == 8
-
-
-def test_summary_to_dict_round_trip():
-    s = summarize(corpus_of("a b"))
-    d = summary_to_dict(s)
-    assert d["n_tokens_total"] == 2
-    assert set(d["word_length"]) == {"mean", "se", "median", "min", "max"}
 
 
 # --- n-grams ---------------------------------------------------------------
@@ -124,6 +116,10 @@ def test_ngram_bad_args():
         ngram_profile(corpus_of("a"), n=0)
     with pytest.raises(ValueError):
         ngram_profile(corpus_of("a"), n=1, scope="sideways")
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        ngram_profile(corpus_of("a b"), n=1, k=-1)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        ngram_profile(corpus_of("a b"), n=1, scope=PHI_ADJACENT, window=-2)
 
 
 # --- vocabulary distance ---------------------------------------------------

@@ -13,9 +13,7 @@ from deidkit.evalmetrics import (
     MissingDocument,
     SchemaMismatch,
     cohens_kappa,
-    confusion_to_dict,
     evaluate,
-    format_confusion,
     format_report,
     label_tokens,
     report_from_confusion,
@@ -249,12 +247,3 @@ def test_format_report_lists_all_tags(sample_corpus):
     for tag in CANONICAL_SCHEMA.tags:
         assert tag in text
     assert "micro" in text and "accuracy" in text
-
-
-def test_confusion_to_dict_round_trips_counts(sample_corpus):
-    preds = {d.id: list(d.entities) for d in sample_corpus}
-    _, matrix = evaluate(sample_corpus, preds, mode=TOKEN)
-    d = confusion_to_dict(matrix)
-    assert d["labels"] == list(CANONICAL_SCHEMA.tags)
-    assert sum(sum(row) for row in d["counts"]) == matrix.total
-    assert format_confusion(matrix)

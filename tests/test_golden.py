@@ -70,6 +70,8 @@ ARGVS = [
     ["ngrams", "--in", "gold.jsonl", "--n", "2", "--k", "15", "--stoplist", "stoplist.txt"],
     ["ngrams", "--in", "gold.jsonl", "--n", "1", "--scope", "phi_adjacent", "--window", "2",
      "--out", "ngrams.csv"],
+    ["ngrams", "--in", "gold.jsonl", "--n", "1", "--k", "-1"],
+    ["ngrams", "--in", "gold.jsonl", "--n", "1", "--scope", "phi_adjacent", "--window", "-2"],
     ["compare", "--a", "gold.jsonl", "--b", "scrubbed.jsonl", "--bertscore",
      "--out", "compare.json"],
     ["weights", "--in", "gold.jsonl", "--out", "weights.json"],
@@ -80,6 +82,7 @@ ARGVS = [
      "{mock} --script faults.json", "--fanout", "2", "--out-dir", "gen"],
     ["filter", "--raw", "gen", "--out-dir", "filtered", "--min-annotations", "3"],
     ["run-matrix", "matrix.json"],
+    ["run-matrix", "matrix_mock.json"],
 ]
 
 
@@ -117,6 +120,9 @@ def write_inputs(workdir: Path) -> None:
                                        "both": ["split/train.jsonl", "split/val.jsonl"]},
                         "test_sets": {"test": "split/test.jsonl", "conll": "gold.conll"},
                         "mode": "entity_strict", "out_dir": "matrix"},
+        "matrix_mock.json": {"train_sets": {"train": "split/train.jsonl"},
+                             "test_sets": {"all": "gold.jsonl"}, "out_dir": "matrix_mock",
+                             "backend": f"{MOCK} --gold gold.jsonl --script faults.json"},
     }
     for name, value in settings.items():
         (workdir / name).write_text(json.dumps(value))

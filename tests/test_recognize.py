@@ -173,6 +173,23 @@ def test_lexicon_entries_equal_under_ignorecase_share_a_trie_node(tmp_path):
     assert [(s.start, s.end, s.surface) for s in spans] == [(6, 10, "st x")]
 
 
+@pytest.mark.parametrize("entries", [
+    ["a" * i for i in range(1, 700)],  # each entry a prefix of the next
+    ["a" * i + "b" for i in range(1, 700)],  # a branch point at every step of one path
+], ids=["prefix-chain", "branch-chain"])
+def test_lexicon_that_nests_too_deep_is_an_invalid_pattern(tmp_path, entries):
+    lexicon = tmp_path / "deep.txt"
+    lexicon.write_text("\n".join(entries) + "\n")
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(lexicon)}}))
+    with pytest.raises(InvalidPattern, match=f"PATIENT lexicon {lexicon}: entries nest too deep"):
+        load_rulebook(path)
+    shallow = tmp_path / "shallow.txt"  # a new path: lexicons are cached by source
+    shallow.write_text("\n".join(entries[:100]) + "\n")
+    path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(shallow)}}))
+    assert recognize_rules("x " + entries[99] + " y", load_rulebook(path))[0].start == 2
+
+
 # --- token alignment -------------------------------------------------------
 
 def test_align_token_predictions():

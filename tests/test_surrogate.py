@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deidkit.core import Document, EntitySpan
 from deidkit.surrogate import (
@@ -19,15 +19,13 @@ from deidkit.surrogate import (
     apply_surrogates,
     load_lexicon,
     normalize_surface,
-    parse_date_text,
     plan_surrogates,
-    render_date,
     scrub,
     scrub_corpus,
     shift_date_text,
 )
 
-from _oracles import oracle_jitter_age, random_doc
+from _oracles import oracle_jitter_age, oracle_shift_date_text, random_doc
 
 
 def doc_with(text, *spans):
@@ -74,13 +72,58 @@ def test_unparseable_dates_raise(bad):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_date_render_parse_round_trip(seed):
+    # a zero shift writes every field back as it was written
     rng = random.Random(seed)
-    day, month, year = rng.randint(1, 28), rng.randint(1, 12), rng.randint(1970, 2049)
-    sep = rng.choice(["-", "/", "."])
-    text = f"{day:02d}{sep}{month:02d}{sep}{year}"
-    dt, shape = parse_date_text(text)
-    assert render_date(dt, shape) == text
-    assert shift_date_text(text, 0) == text
+    day, month, year = rng.randint(1, 28), rng.randint(1, 12), rng.randint(1, 9999)
+    d, m = (f"{v:0{rng.randint(1, 2)}d}" for v in (day, month))
+    sep = rng.choice("-/.")
+    clock = rng.choice(["", " 7:05", " 07:05", "T23:59:01"])
+    mon = rng.choice(["Aug", "AUGUST", "aug", "March", "sep"])
+    for text in (f"{d}{sep}{m}{sep}{year:04d}{clock}", f"{year:04d}-{m}-{d}{clock}",
+                 f"{d} {mon} {year:04d}{clock}"):
+        assert shift_date_text(text, 0) == text
+
+
+def _digits(hi):
+    """0..hi written 1 or 2 wide, or with a non-ASCII digit that int() reads."""
+    return st.builds(lambda v, w: f"{v:0{w}d}", st.integers(0, hi), st.integers(1, 2)) | \
+        st.sampled_from(["\u0663", "1\u0663"])
+
+
+DAY, MONTH_NUM, HOUR, MINUTE = _digits(32), _digits(13), _digits(24), _digits(60)
+YEAR = st.sampled_from(["0000", "0001", "0002", "1999", "2024", "9998", "9999"]) | \
+    st.integers(0, 9999).map("{:04d}".format)
+CLOCK = st.just("") | st.builds("{}{}:{}{}".format, st.sampled_from(" T"), HOUR, MINUTE,
+                                st.sampled_from(["", ":00", ":59", ":60", ":7"]))
+MONTH_WORDS = [name for full in ("January", "May", "August", "September", "December")
+               for name in (full, full[:3])] + ["Sept", "Mayy", "Foo"]
+MONTH_NAME = st.builds(lambda word, case: case(word), st.sampled_from(MONTH_WORDS),
+                       st.sampled_from([str, str.upper, str.lower, str.swapcase]))
+GAP = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0"])
+DATE_SURFACE = st.builds(
+    "{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+    st.one_of(
+        st.builds(lambda d, sep, m, y, t: f"{d}{sep}{m}{sep}{y}{t}",
+                  DAY, st.sampled_from("-/."), MONTH_NUM, YEAR, CLOCK),
+        st.builds("{}-{}-{}{}".format, YEAR, MONTH_NUM, DAY, CLOCK),
+        st.builds("{}{}{}{}{}{}".format, DAY, GAP, MONTH_NAME, GAP, YEAR, CLOCK),
+        st.text(max_size=20)),
+    st.sampled_from(["", " ", "\n"]))
+OFFSET = st.integers(-800_000, 800_000) | st.integers(-(10**12), 10**12)
+
+
+def _shift_outcome(shift, text, days, minutes):
+    try:
+        return shift(text, days, minutes)
+    except Exception as exc:  # the class and message must match too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(DATE_SURFACE, OFFSET, OFFSET)
+def test_date_shift_in_place_matches_the_shape_renderer(text, days, minutes):
+    assert _shift_outcome(shift_date_text, text, days, minutes) == \
+        _shift_outcome(oracle_shift_date_text, text, days, minutes)
 
 
 # --- planning --------------------------------------------------------------
