@@ -134,7 +134,7 @@ def load_rulebook(path=None) -> Rulebook:
     rules = [_compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]]
     for tag, source in data.get("lexicons", {}).items():
         entries = load_lexicon(source)
-        try:  # both the trie builder and re.compile recurse once per nested group
+        try:  # _lexicon_pattern and re.compile both recurse once per nested group
             rules.append(_compile(tag, _lexicon_pattern(entries), "i"))
         except RecursionError as exc:
             raise InvalidPattern(
