@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -62,6 +64,15 @@ def test_summarize_word_length_stats():
 def test_summarize_counts_original_tags(sample_corpus):
     s = summarize(sample_corpus)
     assert s.n_original_tags == 8
+
+
+def test_summary_to_dict_round_trip():
+    # the stats JSON is the summary dataclass, written field for field
+    s = summarize(corpus_of("a b"))
+    d = json.loads(json.dumps(dataclasses.asdict(s)))
+    assert d["n_tokens_total"] == 2
+    assert set(d["word_length"]) == {"mean", "se", "median", "min", "max"}
+    assert summarize(corpus_of("a b")) == type(s)(**d)
 
 
 # --- n-grams ---------------------------------------------------------------

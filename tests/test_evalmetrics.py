@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from deidkit.evalmetrics import (
     SchemaMismatch,
     cohens_kappa,
     evaluate,
+    format_confusion,
     format_report,
     label_tokens,
     report_from_confusion,
@@ -247,3 +250,14 @@ def test_format_report_lists_all_tags(sample_corpus):
     for tag in CANONICAL_SCHEMA.tags:
         assert tag in text
     assert "micro" in text and "accuracy" in text
+
+
+def test_confusion_to_dict_round_trips_counts(sample_corpus):
+    # evaluate --out writes the matrix dataclass, labels and counts
+    preds = {d.id: list(d.entities) for d in sample_corpus}
+    _, matrix = evaluate(sample_corpus, preds, mode=TOKEN)
+    d = json.loads(json.dumps(dataclasses.asdict(matrix)))
+    assert d["labels"] == list(CANONICAL_SCHEMA.tags)
+    assert sum(sum(row) for row in d["counts"]) == matrix.total
+    assert ConfusionMatrix(tuple(d["labels"]), d["counts"]).counts == matrix.counts
+    assert format_confusion(matrix)
