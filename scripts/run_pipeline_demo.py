@@ -33,7 +33,8 @@ def main() -> int:
     gold = read_corpus(args.infile)
     backend = RecognizerBackend(kind=BUILTIN_RULES)
     result = recognize_corpus(gold, backend)
-    report, matrix = evaluate(gold, result.as_pred_map(), mode="token")
+    pred = {p.doc_id: p.spans for p in result.predictions}
+    report, matrix = evaluate(gold, pred, mode="token")
     print(format_report(report, matrix))
 
     cfg = SurrogateConfig(seed=args.seed, date_offset_days=args.date_offset)

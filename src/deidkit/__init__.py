@@ -17,8 +17,8 @@ _MODULE_OF = {name: module for module, names in {
             "Token bio_to_spans build_schema spans_to_bio tokenize",
     "annot_io": "FilterPolicy parse_inline_xml read_conll read_corpus read_jsonl write_conll "
                 "write_corpus write_inline_xml write_jsonl",
-    "tagmap": "COMMERCIAL_SCHEMA MappingAudit NormalizationPolicy TagMap apply_tagmap "
-              "builtin_canonical_map commercial_comparison_map normalize_tag tag_distribution",
+    "tagmap": "COMMERCIAL_SCHEMA MappingAudit TagMap apply_tagmap builtin_canonical_map "
+              "commercial_comparison_map normalize_tag strip_titles tag_distribution",
     "surrogate": "AGE_JITTER AGE_PRESERVE REDACT SURROGATE SurrogateConfig SurrogatePlan "
                  "apply_surrogates plan_surrogates scrub scrub_corpus shift_date_text",
     "recognize": "RecognizerBackend Rulebook recognize_corpus recognize_external recognize_rules",

@@ -29,7 +29,6 @@ from .core import (
     Document,
     EntitySpan,
     TagSchema,
-    Token,
     UnknownTag,
     bio_to_spans,
     build_schema,
@@ -197,12 +196,12 @@ def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
         if not tokens:
             return
         text = " ".join(tokens)
-        toks: list[Token] = []
+        bounds: list[tuple[int, int]] = []
         pos = 0
         for t in tokens:
-            toks.append(Token(t, pos, pos + len(t)))
+            bounds.append((pos, pos + len(t)))
             pos += len(t) + 1
-        spans = bio_to_spans(toks, labels, text, strict=strict)
+        spans = bio_to_spans(bounds, labels, text, strict=strict)
         docs.append(Document(id=f"doc-{len(docs)}", text=text, entities=tuple(spans)))
         tokens.clear()
         labels.clear()
@@ -387,13 +386,9 @@ def write_corpus(corpus: Corpus, path) -> None:
             (p / f"{doc.id}.xml").write_text(write_inline_xml(doc), encoding="utf-8")
 
 
-_lexicon_cache: dict = {}
-
-
 def load_lexicon(source: str) -> tuple[str, ...]:
-    """`source` is either a packaged lexicon filename or a filesystem path."""
-    if source in _lexicon_cache:
-        return _lexicon_cache[source]
+    """`source` is either a packaged lexicon filename or a filesystem path,
+    read on every call."""
     packaged = resources.files("deidkit.data.lexicons").joinpath(source)
     if "/" not in source and packaged.is_file():
         raw = packaged.read_text(encoding="utf-8")
@@ -408,5 +403,4 @@ def load_lexicon(source: str) -> tuple[str, ...]:
     )
     if not entries:
         raise MissingLexicon(f"lexicon is empty: {source}")
-    _lexicon_cache[source] = entries
     return entries

@@ -113,22 +113,15 @@ def cmd_map_tags(args) -> int:
     if args.map:
         tm = tagmap.load_tagmap(args.map)
     elif args.commercial:
-        tm, policy = tagmap.commercial_comparison_map()
+        tm = tagmap.commercial_comparison_map()
     else:
         tm = tagmap.builtin_canonical_map()
     mapped, audit = tagmap.apply_tagmap(corpus, tm)
     if args.commercial and not args.map:
-        mapped = Corpus(
-            documents=tuple(policy.strip_titles(d) for d in mapped),
-            schema=mapped.schema,
-        )
+        mapped = Corpus(documents=tuple(map(tagmap.strip_titles, mapped)), schema=mapped.schema)
     annot_io.write_corpus(mapped, args.out)
     if args.audit:
-        _write_json(
-            {"rule_hits": audit.rule_hits, "unmapped": audit.unmapped,
-             "total": audit.total},
-            args.audit,
-        )
+        _write_json(audit, args.audit)
     logger.info("mapped %d entities (%d unmapped)", audit.total,
                 sum(audit.unmapped.values()))
     return 0
@@ -165,7 +158,7 @@ def cmd_recognize(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evalmetrics
     gold = annot_io.read_corpus(args.gold)
-    pred = annot_io.read_corpus(args.pred)
+    pred = {doc.id: doc.entities for doc in annot_io.read_corpus(args.pred)}
     report, matrix = evalmetrics.evaluate(gold, pred, mode=args.mode)
     sys.stdout.write(evalmetrics.format_report(report, matrix) + "\n")
     if args.out:
@@ -308,7 +301,7 @@ def cmd_run_matrix(args) -> int:
         result = recognize.recognize_corpus(test_corpus, backend)
         for doc_id, reason in result.excluded:
             logger.warning("excluded %s: %s", doc_id, reason)
-        pred = result.as_pred_map()  # a cell scores the documents the backend answered
+        pred = {p.doc_id: p.spans for p in result.predictions}  # the documents answered
         answered = Corpus(documents=tuple(d for d in test_corpus if d.id in pred),
                           schema=test_corpus.schema)
         report, matrix = evalmetrics.evaluate(answered, pred, mode=mode)

@@ -4,9 +4,9 @@ Everything downstream (parsers, surrogate replacement, recognizers,
 metrics) operates on these types. Offsets are character offsets into the
 document text, never byte offsets. All types are immutable after
 construction, so they can be shared freely across threads; the operations
-in this module are pure functions. A tokenization is a plain tuple of
-`Token`s from `tokenize`; BIO labels travel beside it as a separate
-sequence, one label per token.
+in this module are pure functions. A tokenization is a list of (start,
+end) offsets from `token_bounds`; BIO labels travel beside it as a
+separate sequence, one label per token.
 """
 
 from __future__ import annotations
@@ -262,16 +262,15 @@ def first_overlaps(bounds: Iterable[tuple[int, int]],
     return out
 
 
-def spans_to_bio(doc: Document, toks: Optional[Sequence] = None) -> list[str]:
-    """One label per token of `toks`, Tokens or their (start, end) offsets
-    (default: token_bounds(doc.text)): B-tag on the token holding an
-    entity's first character, I-tag on the remaining overlapped tokens, O
-    elsewhere.
+def spans_to_bio(doc: Document, bounds: Optional[Sequence] = None) -> list[str]:
+    """One label per token, given by its (start, end) offsets (default:
+    token_bounds(doc.text)): B-tag on the token holding an entity's first
+    character, I-tag on the remaining overlapped tokens, O elsewhere.
 
     Raises EntityTokenMisalignment when an entity boundary falls strictly
     inside a token; the caller decides whether to re-tokenize or reject.
     """
-    bounds = token_bounds(doc.text) if toks is None else [tok[-2:] for tok in toks]
+    bounds = token_bounds(doc.text) if bounds is None else bounds
     labels = ["O"] * len(bounds)
     # Document entities are sorted by start and disjoint, which is the
     # (start, -len) order first_overlaps needs
@@ -294,16 +293,16 @@ def is_bio_label(label: str) -> bool:
 
 
 def bio_to_spans(
-    toks: Sequence[Token],
+    bounds: Sequence[tuple[int, int]],
     labels: Sequence[str],
     text: str,
     strict: bool = True,
     repairs: Optional[list] = None,
 ) -> list[EntitySpan]:
-    """Collapse maximal B/I runs of `labels`, one per token of `toks`, into
-    entity spans over `text`. The caller vouches for the tokens (in start
-    order, disjoint) and the label syntax (is_bio_label); a count mismatch
-    is a ValueError.
+    """Collapse maximal B/I runs of `labels`, one per token given by its
+    (start, end) offsets in `bounds`, into entity spans over `text`. The
+    caller vouches for the tokens (in start order, disjoint) and the label
+    syntax (is_bio_label); a count mismatch is a ValueError.
 
     Strict mode raises InvalidBioSequence on a dangling I-tag. Lenient mode
     treats it as the start of a new entity and records the repair (appended
@@ -322,17 +321,17 @@ def bio_to_spans(
             )
             run_start = None
 
-    for i, (tok, lab) in enumerate(zip(toks, labels, strict=True)):
+    for i, ((start, end), lab) in enumerate(zip(bounds, labels, strict=True)):
         if lab == "O":
             flush()
             continue
         prefix, tag = lab.split("-", 1)
         if prefix == "B":
             flush()
-            run_start, run_end, run_tag = tok.start, tok.end, tag
+            run_start, run_end, run_tag = start, end, tag
         else:  # I-
             if run_start is not None and run_tag == tag:
-                run_end = tok.end
+                run_end = end
             else:
                 msg = f"dangling {lab} at token {i}"
                 if strict:
@@ -342,7 +341,7 @@ def bio_to_spans(
                 else:
                     logger.debug("bio repair: %s", msg)
                 flush()
-                run_start, run_end, run_tag = tok.start, tok.end, tag
+                run_start, run_end, run_tag = start, end, tag
     flush()
     return spans
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, token_bounds
 
@@ -137,47 +137,33 @@ def report_from_confusion(matrix: ConfusionMatrix, schema: TagSchema,
     )
 
 
-PredMap = Mapping[str, Sequence[EntitySpan]]
-
-
-def _as_pred_map(pred: Union[Corpus, PredMap]) -> PredMap:
-    if isinstance(pred, Corpus):
-        return {doc.id: doc.entities for doc in pred}
-    return pred
-
-
 def label_tokens(doc_text: str, spans: Sequence[EntitySpan], other: str,
-                 toks: Optional[Sequence] = None) -> list:
-    """Tag per token of `toks`, Tokens or their (start, end) offsets
-    (default: token_bounds(doc_text)), by overlap: a token takes the tag of
-    the span covering it, earliest-starting (then longest) span first.
-    Tolerates spans that are unsorted, overlapping or not aligned to token
+                 bounds: Optional[Sequence] = None) -> list:
+    """Tag per token, given by its (start, end) offsets (default:
+    token_bounds(doc_text)), by overlap: a token takes the tag of the span
+    covering it, earliest-starting (then longest) span first. Tolerates
+    spans that are unsorted, overlapping or not aligned to token
     boundaries."""
-    bounds = token_bounds(doc_text) if toks is None else [tok[-2:] for tok in toks]
+    bounds = token_bounds(doc_text) if bounds is None else bounds
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     return [other if span is None else span.tag
             for span in first_overlaps(bounds, ordered)]
 
 
-def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],
+def evaluate(gold: Corpus, pred: Mapping[str, Sequence[EntitySpan]],
              mode: str = TOKEN) -> tuple[MetricsReport, ConfusionMatrix]:
-    """Score predictions against gold under the gold corpus's schema."""
+    """Score `pred`, document id -> predicted spans, under the gold corpus's schema."""
     if mode not in (TOKEN, ENTITY_STRICT):
         raise ValueError(f"bad mode {mode!r}")
-    if isinstance(pred, Corpus) and pred.schema.tags != gold.schema.tags:
-        raise SchemaMismatch(
-            f"gold schema {gold.schema.name!r} != pred schema {pred.schema.name!r}"
-        )
-    pred_map = _as_pred_map(pred)
     gold_ids = {doc.id for doc in gold}
-    missing = gold_ids - set(pred_map)
-    extra = set(pred_map) - gold_ids
+    missing = gold_ids - set(pred)
+    extra = set(pred) - gold_ids
     if missing or extra:
         raise MissingDocument(
             f"doc ids differ: missing from pred {sorted(missing)}, extra {sorted(extra)}"
         )
     schema = gold.schema
-    for doc_id, spans in pred_map.items():
+    for doc_id, spans in pred.items():
         for span in spans:
             if span.tag not in schema:
                 raise SchemaMismatch(f"doc {doc_id!r}: predicted tag {span.tag!r} not in schema")
@@ -188,7 +174,7 @@ def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],
         for doc in gold:
             bounds = token_bounds(doc.text)
             pairs.update(zip(label_tokens(doc.text, doc.entities, schema.other, bounds),
-                             label_tokens(doc.text, pred_map[doc.id], schema.other, bounds)))
+                             label_tokens(doc.text, pred[doc.id], schema.other, bounds)))
         for (g, p), n in pairs.items():
             matrix.add(g, p, n)
     else:
@@ -201,7 +187,7 @@ def evaluate(gold: Corpus, pred: Union[Corpus, PredMap],
                     continue
                 gold_keys[(ent.start, ent.end, ent.tag)] = ent
             pred_keys = set()
-            for span in pred_map[doc.id]:
+            for span in pred[doc.id]:
                 if span.tag == schema.other:
                     continue
                 pred_keys.add((span.start, span.end, span.tag))

@@ -39,7 +39,6 @@ from .core import (
     EntitySpan,
     ProtocolViolation,
     SpanOutOfRange,
-    Token,
     bio_to_spans,
     is_bio_label,
 )
@@ -93,11 +92,17 @@ def _compile(tag: str, pattern: str, flags: str = "") -> Rule:
         raise InvalidPattern(f"{tag} pattern {pattern!r}: {exc}") from exc
 
 
-def _lexicon_pattern(entries) -> str:
+# groups a lexicon pattern may nest: the trie builder and re.compile recurse
+# once per group, so a fixed bound, not the caller's stack, decides
+_MAX_NESTING = 100
+
+
+def _lexicon_pattern(entries, what: str = "lexicon") -> str:
     """The entries as one prefix trie (the regex form of Aho-Corasick) for
     re.I: at each start, the longest whole-phrase entry. Characters re.I
     equates share a node, so the entries that match at one start lie on one
-    path, where the longer is tried first."""
+    path, where the longer is tried first. Raises InvalidPattern, naming
+    `what`, when the trie would nest more than _MAX_NESTING groups."""
     root: dict = {}
     for entry in entries:
         node = root
@@ -106,18 +111,21 @@ def _lexicon_pattern(entries) -> str:
             node = node.setdefault(min((lower, *_EXTRA_CASES.get(lower, ()))), (ch, {}))[1]
         node[None] = None  # an entry ends here
 
-    def emit(node: dict) -> str:
+    def emit(node: dict, depth: int) -> str:  # depth: the groups around this node
+        if depth > _MAX_NESTING:
+            raise InvalidPattern(f"{what}: entries nest too deep to compile")
         chain = ""
         while len(node) == 1 and None not in node:  # no branch: no group
             ((ch, node),) = node.values()
             chain += re.escape(ch)
-        alts = "|".join(re.escape(ch) + emit(child) for ch, child in filter(None, node.values()))
+        alts = "|".join(re.escape(ch) + emit(child, depth + 1)
+                        for ch, child in filter(None, node.values()))
         if None not in node:  # two or more branches
             return f"{chain}(?:{alts})"
         return f"{chain}(?:{alts})?" if alts else chain
 
     first = "".join(re.escape(ch) for ch, _ in filter(None, root.values()))
-    return rf"(?=[{first}])\b{emit(root)}\b"
+    return rf"(?=[{first}])\b{emit(root, 0)}\b"
 
 
 def load_rulebook(path=None) -> Rulebook:
@@ -133,12 +141,8 @@ def load_rulebook(path=None) -> Rulebook:
     data = json.loads(raw)
     rules = [_compile(p["tag"], p["pattern"], p.get("flags", "")) for p in data["patterns"]]
     for tag, source in data.get("lexicons", {}).items():
-        entries = load_lexicon(source)
-        try:  # _lexicon_pattern and re.compile both recurse once per nested group
-            rules.append(_compile(tag, _lexicon_pattern(entries), "i"))
-        except RecursionError as exc:
-            raise InvalidPattern(
-                f"{tag} lexicon {source}: entries nest too deep to compile") from exc
+        pattern = _lexicon_pattern(load_lexicon(source), f"{tag} lexicon {source}")
+        rules.append(_compile(tag, pattern, "i"))
     return Rulebook(
         name=data.get("name", "rulebook"),
         rules=tuple(rules),
@@ -215,9 +219,6 @@ class ExternalRunResult:
     predictions: list = field(default_factory=list)
     excluded: list = field(default_factory=list)  # (doc_id, reason)
     retries: int = 0
-
-    def as_pred_map(self) -> dict:
-        return {p.doc_id: list(p.spans) for p in self.predictions}
 
 
 class _Wire:
@@ -355,7 +356,7 @@ def align_token_predictions(token_records: Sequence[dict], text: str) -> list[En
     disjoint, and labels B/I/O; BIO transition errors are repaired leniently."""
     if not isinstance(token_records, list):
         raise TypeError("token records are not a JSON array")
-    toks, labels = [], []
+    bounds, labels = [], []
     for rec in token_records:
         surface, start, end, label = rec["surface"], rec["start"], rec["end"], rec["label"]
         if not (type(start) is type(end) is int  # as in decode_spans: no bools
@@ -363,15 +364,15 @@ def align_token_predictions(token_records: Sequence[dict], text: str) -> list[En
             raise TypeError("token offsets must be integers, surface and label strings")
         if not (0 <= start < end <= len(text)) or text[start:end] != surface:
             raise SpanOutOfRange(f"token {surface!r} does not match text at {start}:{end}")
-        toks.append(Token(surface, start, end))
+        bounds.append((start, end))
         labels.append(label)
-    for prev, tok in zip(toks, toks[1:]):
-        if tok.start < prev.end:
-            raise ValueError(f"tokens overlap or are unordered at offset {tok.start}")
+    for (_, prev_end), (start, _) in zip(bounds, bounds[1:]):
+        if start < prev_end:
+            raise ValueError(f"tokens overlap or are unordered at offset {start}")
     for label in labels:
         if not is_bio_label(label):
             raise ValueError(f"bad label {label!r}")
-    return bio_to_spans(toks, labels, text, strict=False)
+    return bio_to_spans(bounds, labels, text, strict=False)
 
 
 def _parse_response(doc: Document, resp: dict, backend: RecognizerBackend) -> Document:

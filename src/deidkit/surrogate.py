@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from typing import Optional
 
-from .annot_io import MissingLexicon, load_lexicon
+from .annot_io import MissingLexicon, load_lexicon  # MissingLexicon: importable from here
 from .core import Corpus, DeidError, Document, EntitySpan
 
 AGE_PRESERVE = "preserve"
@@ -61,6 +61,9 @@ class SurrogateConfig:
             raise ValueError(f"bad age_policy {self.age_policy!r}")
         if self.age_jitter_years < 0:
             raise ValueError("age_jitter_years must be >= 0")
+        # lexicon source -> entries, read once per config; an attribute, not
+        # a field, so that it is no config key
+        object.__setattr__(self, "_pools", {})
 
 
 def normalize_surface(surface: str) -> str:
@@ -184,10 +187,10 @@ def shift_date_text(text: str, days: int = 0, minutes: int = 0) -> str:
 
 
 def _lexicon_for(tag: str, cfg: SurrogateConfig) -> tuple[str, ...]:
-    source = cfg.locale_lexicons.get(tag, _LEXICON_TAGS.get(tag))
-    if source is None:
-        raise MissingLexicon(f"no lexicon configured for tag {tag}")
-    return load_lexicon(source)
+    source = cfg.locale_lexicons.get(tag, _LEXICON_TAGS[tag])
+    if source not in cfg._pools:
+        cfg._pools[source] = load_lexicon(source)
+    return cfg._pools[source]
 
 
 # --- planning and application ---------------------------------------------
@@ -358,5 +361,7 @@ def scrub_corpus(corpus: Corpus, mode: str = SURROGATE,
                  cfg: Optional[SurrogateConfig] = None) -> Corpus:
     """Per-document scrub; every replacement is keyed by (seed, doc id, tag,
     surface), so a document's output does not depend on the others."""
+    if cfg is None:
+        cfg = SurrogateConfig()
     return Corpus(documents=tuple(scrub(doc, mode, cfg) for doc in corpus),
                   schema=corpus.schema)

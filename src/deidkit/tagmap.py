@@ -64,51 +64,33 @@ class TagMap:
 
 @dataclass
 class MappingAudit:
-    """Counts per source tag, split into rule hits and default fallbacks."""
+    """Counts per source tag, split into rule hits and default fallbacks, and their sum."""
 
     rule_hits: dict = field(default_factory=dict)  # source tag -> count
     unmapped: dict = field(default_factory=dict)  # source tag -> count
-
-    @property
-    def total(self) -> int:
-        return sum(self.rule_hits.values()) + sum(self.unmapped.values())
+    total: int = 0
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    """Span cleanup applied after mapping: leading honorific titles are
-    stripped from spans of the listed tags. A strip that would empty the
-    span is skipped."""
+# Leading honorifics, longest first; a title must be delimited by a period
+# or whitespace, both absorbed.
+_TITLE = re.compile(r"(?:Prof|Mrs|B/O|Dr|Mr|Ms)(?:\.\s*|\s+)", re.IGNORECASE)
 
-    titles: tuple[str, ...] = ("Dr", "Mr", "Mrs", "Ms", "Prof", "B/O")
-    applies_to: tuple[str, ...] = ("NAME",)
 
-    def _pattern(self) -> re.Pattern:
-        alts = "|".join(re.escape(t) for t in sorted(self.titles, key=len, reverse=True))
-        # the title must be delimited by a period or whitespace, both absorbed
-        return re.compile(rf"^(?:{alts})(?:\.\s*|\s+)", re.IGNORECASE)
-
-    def strip_titles(self, doc: Document) -> Document:
-        pat = self._pattern()
-        out: list[EntitySpan] = []
-        for ent in doc.entities:
-            if ent.tag not in self.applies_to:
-                out.append(ent)
-                continue
-            start = ent.start
-            while True:
-                m = pat.match(doc.text[start : ent.end])
-                if m is None or start + m.end() >= ent.end:
-                    break
-                start += m.end()
-            if start == ent.start:
-                out.append(ent)
-            else:
-                out.append(
-                    EntitySpan(start=start, end=ent.end, tag=ent.tag,
-                               surface=doc.text[start : ent.end])
-                )
-        return replace(doc, entities=tuple(out))
+def strip_titles(doc: Document) -> Document:
+    """Span cleanup after mapping to the comparison set: leading titles,
+    stacked ones too, are cut off each NAME span. A strip that would empty
+    the span is skipped."""
+    out: list[EntitySpan] = []
+    for ent in doc.entities:
+        start = ent.start
+        # match(text, pos, endpos) sees the span alone, as a slice would
+        while ent.tag == "NAME" and (m := _TITLE.match(doc.text, start, ent.end)) \
+                and m.end() < ent.end:
+            start = m.end()
+        out.append(ent if start == ent.start else
+                   EntitySpan(start=start, end=ent.end, tag=ent.tag,
+                              surface=doc.text[start : ent.end]))
+    return replace(doc, entities=tuple(out))
 
 
 def _flatten_rows(rows: dict) -> dict:
@@ -133,9 +115,9 @@ def builtin_canonical_map() -> TagMap:
     )
 
 
-def commercial_comparison_map() -> tuple[TagMap, NormalizationPolicy]:
-    """Canonical 9-tag -> 6-tag comparison set: person tags merge into NAME,
-    HOSPITAL merges into LOCATION, and the policy strips titles off NAME."""
+def commercial_comparison_map() -> TagMap:
+    """Canonical 9-tag -> 6-tag comparison set: person tags merge into NAME
+    (strip_titles then cuts their titles) and HOSPITAL merges into LOCATION."""
     rules = {
         normalize_tag("PATIENT"): "NAME",
         normalize_tag("DOCTOR"): "NAME",
@@ -143,8 +125,7 @@ def commercial_comparison_map() -> tuple[TagMap, NormalizationPolicy]:
     }
     for tag in ("DATE", "LOCATION", "AGE", "ID", "CONTACT", "OTHERS"):
         rules[normalize_tag(tag)] = tag
-    tag_map = TagMap(target_schema=COMMERCIAL_SCHEMA, rules=rules, default="OTHERS")
-    return tag_map, NormalizationPolicy()
+    return TagMap(target_schema=COMMERCIAL_SCHEMA, rules=rules, default="OTHERS")
 
 
 def apply_tagmap(corpus: Union[Corpus, Sequence[Document]],
@@ -158,6 +139,7 @@ def apply_tagmap(corpus: Union[Corpus, Sequence[Document]],
     for tag, n in Counter(e.tag for doc in corpus for e in doc.entities).items():
         target, matched = tag_map.map_tag(tag)
         (audit.rule_hits if matched else audit.unmapped)[tag] = n
+        audit.total += n
         if target != tag:
             renamed[tag] = target
     docs = tuple(_retag(doc, renamed) for doc in corpus)

@@ -570,6 +570,34 @@ def oracle_lexicon_pattern(entries) -> str:
     return rf"\b(?:{alternation})\b"
 
 
+# --- title stripping: the policy object's method ----------------------------
+
+def oracle_strip_titles(doc: Document, titles=("Dr", "Mr", "Mrs", "Ms", "Prof", "B/O"),
+                        applies_to=("NAME",)) -> Document:
+    """The pattern rebuilt from the title list on every call, longest title
+    first and anchored with ^, matched against a slice of each span that is
+    cut again after every title."""
+    alts = "|".join(re.escape(t) for t in sorted(titles, key=len, reverse=True))
+    pat = re.compile(rf"^(?:{alts})(?:\.\s*|\s+)", re.IGNORECASE)
+    out = []
+    for ent in doc.entities:
+        if ent.tag not in applies_to:
+            out.append(ent)
+            continue
+        start = ent.start
+        while True:
+            m = pat.match(doc.text[start : ent.end])
+            if m is None or start + m.end() >= ent.end:
+                break
+            start += m.end()
+        if start == ent.start:
+            out.append(ent)
+        else:
+            out.append(EntitySpan(start=start, end=ent.end, tag=ent.tag,
+                                  surface=doc.text[start : ent.end]))
+    return replace(doc, entities=tuple(out))
+
+
 # --- span and document checks in __post_init__ ------------------------------
 
 @dataclass(frozen=True)

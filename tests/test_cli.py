@@ -6,15 +6,17 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deidkit import recognize
 from deidkit.annot_io import (
-    BadRecordLine, FilterPolicy, as_corpus, read_corpus, read_jsonl, write_corpus, write_jsonl,
+    BadRecordLine, FilterPolicy, as_corpus, read_corpus, read_jsonl, write_conll, write_corpus,
+    write_inline_xml, write_jsonl,
 )
 from deidkit.cli import MATRIX_FIELDS, ConfigError, PipelineConfig, main
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, read_fields
 from deidkit.surrogate import SurrogateConfig
+from deidkit.syngen import load_template
 from deidkit.tagmap import FLAT_MAP, ROWS_MAP
 
 
@@ -740,6 +742,77 @@ def test_any_settings_file_exits_0_1_or_2(tmp_path, monkeypatch, sample_corpus, 
         Path("cfg.json").write_text(json.dumps(payload))
         for argv in argvs:
             assert main(argv) in (0, 1, 2)
+
+    exits_0_1_or_2()
+
+
+# pieces that break a record, a marker, a CoNLL line or the encoding: NUL,
+# a lone surrogate written raw (not UTF-8) and as a JSON escape, a byte order
+# mark, markup halves, JSON punctuation and out-of-range numbers
+BREAKERS = ["\x00", "\ud800", "\\ud800", "\ufeff", "<RECORD>", "</RECORD>", "<TYPE='",
+            "<TYPE=\"DATE\">", "</TYPE>", "'>", "\t", "\n", "\r", '"', "{", "}", "[", "]",
+            ",", ":", "B-", "I-DATE", "O", "-1", "1e400", "true", "null", " "]
+
+
+def mutated(text: str):
+    """`text` with up to four slices replaced by breakers or arbitrary text."""
+    edit = st.tuples(st.integers(0, len(text)), st.integers(0, 12),
+                     st.lists(st.sampled_from(BREAKERS) | st.text(max_size=3), max_size=3))
+
+    def apply(edits) -> str:
+        out = text
+        for at, cut, pieces in edits:
+            at = min(at, len(out))
+            out = out[:at] + "".join(pieces) + out[at + cut:]
+        return out
+
+    return st.lists(edit, max_size=4).map(apply)
+
+
+def any_file(text: str):
+    """Arbitrary bytes, or `text` mutated and written as UTF-8 with any lone
+    surrogate passed through as the bytes no decoder accepts."""
+    return st.binary(max_size=40) | mutated(text).map(
+        lambda t: t.encode("utf-8", "surrogatepass"))
+
+
+INPUT_FILE_ARGVS = [
+    ["stats", "--in", "c.jsonl", "--out", "s.json"],
+    ["stats", "--in", "c.conll", "--out", "s.json"],
+    ["ngrams", "--in", "v.jsonl", "--n", "1", "--stoplist", "stop.txt", "--out", "n.csv"],
+    ["deidentify", "--in", "c.jsonl", "--out", "o.jsonl"],
+    ["convert", "--in", "c.jsonl", "--out", "o.conll"],
+    ["convert", "--in", "c.conll", "--out", "o.jsonl"],
+    ["convert", "--in", "x", "--out", "o.jsonl"],
+    ["filter", "--raw", "raw.jsonl", "--out-dir", "filtered"],
+    # no backend: generate reads the template and the exemplars, then exits 1
+    ["generate", "--template", "t.txt", "--exemplars", "e.jsonl", "--out-dir", "gen"],
+]
+
+
+def test_any_input_file_exits_0_1_or_2(tmp_path, monkeypatch, sample_corpus):
+    monkeypatch.delenv("DEIDKIT_BACKEND", raising=False)
+    monkeypatch.chdir(tmp_path)
+    write_corpus(sample_corpus, "v.jsonl")
+    Path("x").mkdir()
+    body = "<TYPE='Date'>01-02-2024</TYPE> seen" * 3 + " w" * 100
+    seeds = {
+        "c.jsonl": write_jsonl(sample_corpus),
+        "c.conll": write_conll(sample_corpus),
+        "x/a.xml": write_inline_xml(sample_corpus.documents[0]),
+        "stop.txt": "Patient\nthe\non\n",
+        "raw.jsonl": json.dumps({"id": "e:0", "text": f"<RECORD>{body}</RECORD>"}) + "\n",
+        "t.txt": load_template("A").body,
+        "e.jsonl": write_jsonl(sample_corpus),
+    }
+
+    @settings(max_examples=60)
+    @given(st.fixed_dictionaries({name: any_file(text) for name, text in seeds.items()}))
+    def exits_0_1_or_2(files):
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        for argv in INPUT_FILE_ARGVS:
+            assert main(argv) in (0, 1, 2), argv
 
     exits_0_1_or_2()
 

@@ -16,6 +16,7 @@ from deidkit.core import (
     bio_to_spans,
     build_schema,
     spans_to_bio,
+    token_bounds,
     tokenize,
 )
 
@@ -195,12 +196,12 @@ def test_spans_to_bio_misalignment():
 
 def test_bio_to_spans_strict_rejects_dangling_i():
     with pytest.raises(InvalidBioSequence):
-        bio_to_spans(tokenize("a b"), ("O", "I-DATE"), "a b", strict=True)
+        bio_to_spans(token_bounds("a b"), ("O", "I-DATE"), "a b", strict=True)
 
 
 def test_bio_to_spans_lenient_repairs_dangling_i():
     repairs = []
-    spans = bio_to_spans(tokenize("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
+    spans = bio_to_spans(token_bounds("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
                          repairs=repairs)
     assert [(s.start, s.end, s.tag) for s in spans] == [(2, 5, "DATE")]
     assert len(repairs) == 1
@@ -208,22 +209,22 @@ def test_bio_to_spans_lenient_repairs_dangling_i():
 
 def test_bio_adjacent_entities_stay_separate():
     text = "x y"
-    spans = bio_to_spans(tokenize(text), ("B-ID", "B-ID"), text)
+    spans = bio_to_spans(token_bounds(text), ("B-ID", "B-ID"), text)
     assert [(s.start, s.end) for s in spans] == [(0, 1), (2, 3)]
 
 
 def test_bio_to_spans_rejects_label_count_mismatch():
-    toks = tokenize("a b")
+    bounds = token_bounds("a b")
     for labels in (("O",), ("O", "O", "O"), ("B-ID",), ("B-ID", "I-ID", "O")):
         for strict in (True, False):
             with pytest.raises(ValueError):
-                bio_to_spans(toks, labels, "a b", strict=strict)
+                bio_to_spans(bounds, labels, "a b", strict=strict)
 
 
 @given(st.lists(st.sampled_from(["O", "B-ID", "I-ID", "B-DATE", "I-DATE"]), max_size=8))
 def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
     text = " ".join("x" * len(labels))
-    toks = tokenize(text)
+    bounds = token_bounds(text)
 
     def rejects(check) -> bool:
         try:
@@ -232,7 +233,7 @@ def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
             return True
         return False
 
-    assert rejects(lambda: bio_to_spans(toks, labels, text, strict=True)) == \
+    assert rejects(lambda: bio_to_spans(bounds, labels, text, strict=True)) == \
         rejects(lambda: oracle_check_bio(labels))
 
 
@@ -240,6 +241,6 @@ def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
 def test_bio_round_trip_property(seed):
     rng = random.Random(seed)
     doc = random_doc(rng, "doc-0", max_tokens=40)
-    toks = tokenize(doc.text)
-    back = bio_to_spans(toks, spans_to_bio(doc, toks), doc.text)
+    bounds = token_bounds(doc.text)
+    back = bio_to_spans(bounds, spans_to_bio(doc, bounds), doc.text)
     assert tuple(back) == doc.entities

@@ -13,15 +13,15 @@ import deidkit
 PUBLIC_NAMES = set("""
 AGE_JITTER AGE_PRESERVE AgreementReport CANONICAL_SCHEMA CANONICAL_TAGS COMMERCIAL_SCHEMA
 ConfusionMatrix Corpus CorpusSummary DeidError Document ENTITY_STRICT EntitySpan FilterPolicy
-GenerationJob MappingAudit MetricsReport NormalizationPolicy PromptTemplate REDACT
+GenerationJob MappingAudit MetricsReport PromptTemplate REDACT
 RecognizerBackend Rulebook SURROGATE SurrogateConfig SurrogatePlan TOKEN TagMap TagSchema Token
 apply_surrogates apply_tagmap bertscore_greedy bio_to_spans build_schema
 builtin_canonical_map class_weights cohens_kappa commercial_comparison_map evaluate
 filter_outputs generate jaccard_distance load_template ngram_profile normalize_tag
 parse_inline_xml plan_surrogates read_conll read_corpus read_jsonl recognize_corpus
 recognize_external recognize_rules review_metrics_from_counts run_generation_job
-score_generation_quality scrub scrub_corpus shift_date_text spans_to_bio split summarize
-tag_distribution tag_weight tokenize write_conll write_corpus write_inline_xml write_jsonl
+score_generation_quality scrub scrub_corpus shift_date_text spans_to_bio split strip_titles
+summarize tag_distribution tag_weight tokenize write_conll write_corpus write_inline_xml write_jsonl
 """.split())
 
 

@@ -184,10 +184,45 @@ def test_lexicon_that_nests_too_deep_is_an_invalid_pattern(tmp_path, entries):
     path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(lexicon)}}))
     with pytest.raises(InvalidPattern, match=f"PATIENT lexicon {lexicon}: entries nest too deep"):
         load_rulebook(path)
-    shallow = tmp_path / "shallow.txt"  # a new path: lexicons are cached by source
+    shallow = tmp_path / "shallow.txt"
     shallow.write_text("\n".join(entries[:100]) + "\n")
     path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(shallow)}}))
     assert recognize_rules("x " + entries[99] + " y", load_rulebook(path))[0].start == 2
+
+
+def called_below(frames: int, fn):
+    """fn() from `frames` frames below this call."""
+    return fn() if frames == 0 else called_below(frames - 1, fn)
+
+
+def test_lexicon_nesting_is_decided_by_the_bound_not_the_stack(tmp_path):
+    # from the test's own frame and from 500 frames down, the 100-entry chain
+    # (99 nested groups) compiles and longer chains are refused; re.purge
+    # empties re's cache, so each pattern is compiled again
+    chain = ["a" * i for i in range(1, 700)]
+    path = tmp_path / "rules.json"
+    for n in (100, 150, 699):
+        lexicon = tmp_path / f"chain{n}.txt"
+        lexicon.write_text("\n".join(chain[:n]) + "\n")
+        path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(lexicon)}}))
+        for frames in (0, 500):
+            re.purge()
+            if n == 100:
+                book = called_below(frames, lambda: load_rulebook(path))
+                assert recognize_rules("x " + chain[99] + " y", book)[0].start == 2
+            else:
+                with pytest.raises(InvalidPattern, match="entries nest too deep"):
+                    called_below(frames, lambda: load_rulebook(path))
+
+
+def test_a_rewritten_lexicon_file_is_read_again(tmp_path):
+    lexicon = tmp_path / "names.txt"
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(lexicon)}}))
+    text = "Asha Rao met Ravi Menon"
+    for name in ("Asha Rao", "Ravi Menon"):
+        lexicon.write_text(name + "\n")
+        assert [s.surface for s in recognize_rules(text, load_rulebook(path))] == [name]
 
 
 # --- token alignment -------------------------------------------------------

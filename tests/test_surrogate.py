@@ -307,6 +307,20 @@ def test_custom_lexicon_used(tmp_path):
     assert out.entities[0].surface in {"Blue Falcon", "Red Panda"}
 
 
+def test_each_config_reads_its_lexicons_once(tmp_path):
+    lex = tmp_path / "names.txt"
+    lex.write_text("Blue Falcon\n")
+    doc = doc_with("Asha Rao", (0, 8, "PATIENT"))
+    cfg = SurrogateConfig(seed=0, locale_lexicons={"PATIENT": str(lex)})
+    assert scrub(doc, SURROGATE, cfg).entities[0].surface == "Blue Falcon"
+    lex.write_text("Red Panda\n")
+    # the config keeps the pool it read; a new config reads the file again
+    assert scrub(doc, SURROGATE, cfg).entities[0].surface == "Blue Falcon"
+    fresh = SurrogateConfig(seed=0, locale_lexicons={"PATIENT": str(lex)})
+    assert fresh == cfg
+    assert scrub(doc, SURROGATE, fresh).entities[0].surface == "Red Panda"
+
+
 def test_missing_lexicon_raises(tmp_path):
     cfg = SurrogateConfig(seed=0, locale_lexicons={"PATIENT": str(tmp_path / "no.txt")})
     doc = doc_with("Asha Rao", (0, 8, "PATIENT"))

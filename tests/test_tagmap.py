@@ -1,23 +1,23 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, build_schema
 from deidkit.tagmap import (
     COMMERCIAL_SCHEMA,
     COMMERCIAL_TAGS,
-    NormalizationPolicy,
     TagMap,
     apply_tagmap,
     builtin_canonical_map,
     commercial_comparison_map,
     load_tagmap,
     normalize_tag,
+    strip_titles,
     tag_distribution,
 )
 
-from _oracles import oracle_apply_tagmap
+from _oracles import oracle_apply_tagmap, oracle_strip_titles
 
 # Frozen source -> target expectations for the shipped mapping table.
 # "Contact Information" is deliberately pinned to CONTACT.
@@ -129,7 +129,7 @@ def test_offsets_untouched_by_mapping(sample_corpus):
 
 
 def test_commercial_map_folds_names_and_hospitals():
-    tm, _ = commercial_comparison_map()
+    tm = commercial_comparison_map()
     assert tm.map_tag("PATIENT") == ("NAME", True)
     assert tm.map_tag("DOCTOR") == ("NAME", True)
     assert tm.map_tag("HOSPITAL") == ("LOCATION", True)
@@ -151,23 +151,47 @@ def test_commercial_map_folds_names_and_hospitals():
 def test_title_stripping(text, span, stripped):
     doc = Document(id="d", text=text,
                    entities=(EntitySpan(span[0], span[1], "NAME", text[span[0]:span[1]]),))
-    policy = NormalizationPolicy()
-    out = policy.strip_titles(doc)
+    out = strip_titles(doc)
     assert out.entities[0].surface == stripped
     assert out.entities[0].end == span[1]
 
 
 def test_title_strip_never_empties_span():
     doc = Document(id="d", text="Dr.", entities=(EntitySpan(0, 3, "NAME", "Dr."),))
-    out = NormalizationPolicy().strip_titles(doc)
+    out = strip_titles(doc)
     assert out.entities[0].surface == "Dr."
 
 
 def test_title_strip_ignores_other_tags():
     doc = Document(id="d", text="Dr. Lane Street",
                    entities=(EntitySpan(0, 15, "LOCATION", "Dr. Lane Street"),))
-    out = NormalizationPolicy().strip_titles(doc)
+    out = strip_titles(doc)
     assert out.entities[0].surface == "Dr. Lane Street"
+
+
+# titles in three cases, words that start like one, names, and the periods
+# and whitespace that may or may not delimit a title
+TITLE_PIECES = ["Dr", "dr", "DR", "Mr", "mR", "Mrs", "MRS", "mrs", "Ms", "MS", "Prof", "PROF",
+                "prof", "B/O", "b/o", "Drake", "Mrsa", "Profit", "Asha", "Rao", ".", "..", " ",
+                "  ", "\t", "\n", "x"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.text(" x.\t", max_size=3),
+                          st.lists(st.sampled_from(TITLE_PIECES), min_size=1, max_size=8)
+                          .map("".join),
+                          st.sampled_from(["NAME", "NAME", "DATE", "LOCATION"])),
+                max_size=4),
+       st.text(" x", max_size=2))
+def test_strip_titles_matches_the_policy_it_replaced(parts, tail):
+    # spans side by side or apart, at nonzero offsets, with stacked titles
+    text, ents = "", []
+    for gap, surface, tag in parts:
+        text += gap
+        ents.append(EntitySpan(len(text), len(text) + len(surface), tag, surface))
+        text += surface
+    doc = Document(id="d", text=text + tail, entities=tuple(ents))
+    assert strip_titles(doc) == oracle_strip_titles(doc)
 
 
 def test_load_tagmap_flat_rules(tmp_path):
@@ -223,7 +247,7 @@ def tag_maps(tmp_path_factory):
     path.write_text(json.dumps({"rules": FLAT_RULES, "default": "OTHERS"}))
     # each map lives across examples, so lookups answered earlier are reused
     return {"canonical": builtin_canonical_map(),
-            "commercial": commercial_comparison_map()[0],
+            "commercial": commercial_comparison_map(),
             "flat": load_tagmap(path)}
 
 
