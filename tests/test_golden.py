@@ -4,7 +4,10 @@ the bytes recorded in tests/golden.json.
 For each argv in ARGVS the manifest holds the exit code and the sha256 of
 stdout and of every file the call wrote or changed. Stderr is not hashed,
 because its log lines name temporary paths. `stats` and `compare` print numpy
-floats, so the manifest also records the numpy version it was made with.
+floats, so the manifest also records the numpy version it was made with. Each
+subcommand's `--help` is hashed too, at COLUMNS=80 because argparse wraps help
+to the terminal width; its layout varies between Python versions, so the
+manifest records the Python minor version as well.
 
 A change that alters an output on purpose rewrites the manifest, and says
 which digest moved and why:
@@ -37,6 +40,7 @@ MOCK = f"{sys.executable} -m deidkit.mock_backend"
 MOCK_PATH = os.pathsep.join(filter(None, [str(Path(deidkit.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH")]))
 REWRITE = "PYTHONPATH=src python tests/test_golden.py"
+PYTHON = "{}.{}".format(*sys.version_info)
 
 # run in this order in one directory: later calls read what earlier ones wrote
 ARGVS = [
@@ -84,6 +88,7 @@ ARGVS = [
     ["run-matrix", "matrix.json"],
     ["run-matrix", "matrix_mock.json"],
 ]
+ARGVS += [[name, "--help"] for name in dict.fromkeys(argv[0] for argv in ARGVS)]
 
 
 def _load_synth_doc():
@@ -167,13 +172,19 @@ def _mismatches(expected: dict, got: dict) -> list:
     return problems
 
 
+def _versions() -> dict:
+    return {"numpy": importlib.metadata.version("numpy"), "python": PYTHON}
+
+
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    numpy = importlib.metadata.version("numpy")
-    assert manifest["numpy"] == numpy, (
-        f"{MANIFEST.name} was recorded with numpy {manifest['numpy']}, this is numpy {numpy}: "
-        f"stats and compare print numpy floats, so rewrite it with `{REWRITE}`")
+    for name, version in _versions().items():
+        assert manifest[name] == version, (
+            f"{MANIFEST.name} was recorded with {name} {manifest[name]}, this is {name} "
+            f"{version}: stats and compare print numpy floats and help layout varies with "
+            f"Python, so rewrite it with `{REWRITE}`")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setenv("PYTHONPATH", MOCK_PATH)
     monkeypatch.delenv("DEIDKIT_BACKEND", raising=False)
     recorded = {json.dumps(r["argv"]): r for r in manifest["runs"]}
@@ -198,9 +209,9 @@ def test_golden_argvs_run_every_subcommand():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        os.environ["PYTHONPATH"] = MOCK_PATH
+        os.environ.update(PYTHONPATH=MOCK_PATH, COLUMNS="80")
         os.environ.pop("DEIDKIT_BACKEND", None)
         runs = run_all(Path(tmp))
-    MANIFEST.write_text(json.dumps({"numpy": importlib.metadata.version("numpy"), "runs": runs},
-                                   indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    MANIFEST.write_text(json.dumps({**_versions(), "runs": runs}, indent=1, sort_keys=True)
+                        + "\n", encoding="utf-8")
     print(f"wrote {len(runs)} runs to {MANIFEST}")
