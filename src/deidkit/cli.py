@@ -342,127 +342,93 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv`. When its first token other than -v names a
+    subcommand, the top-level parser and that subcommand's are the only ones
+    built, since a call runs one subcommand; any other argv, or none, gets
+    every subcommand's parser."""
+    infile, required = ("--in", dict(dest="infile", required=True)), dict(required=True)
+    out, config = ("--out", {}), ("--config", {})
+    commands = {  # name: (help, handler, flags); a flag is its name and add_argument keywords
+        "convert": ("re-serialize a corpus between formats", cmd_convert, [
+            infile, ("--out", required),
+            ("--schema", dict(type=_schema_arg, default=CANONICAL_SCHEMA,
+                              help="canonical | commercial | infer"))]),
+        "map-tags": ("rewrite tags into a target schema", cmd_map_tags, [
+            infile, ("--out", required),
+            ("--map", dict(help="JSON tag map (default: shipped canonical table)")),
+            ("--commercial", dict(action="store_true",
+                                  help="canonical -> 6-tag comparison set with title stripping")),
+            ("--audit", dict(help="write the mapping audit JSON here"))]),
+        "deidentify": ("redact or surrogate PHI spans", cmd_deidentify, [
+            infile, ("--out", required),
+            ("--mode", dict(choices=["redact", "surrogate"], default="surrogate")),
+            ("--seed", dict(type=int)), ("--date-offset", dict(type=int, help="days")),
+            ("--time-offset", dict(type=int, help="minutes")), config]),
+        "recognize": ("predict spans with a backend", cmd_recognize, [
+            infile, ("--out", required),
+            ("--backend", dict(default="",
+                               help='"rules", an http(s) URL, or a subprocess command')),
+            ("--timeout-ms", dict(type=int, default=10_000)),
+            ("--retry", dict(type=int, default=0)),
+            ("--report", dict(help="write run report JSON here")), config]),
+        "evaluate": ("score predictions against gold", cmd_evaluate, [
+            ("--gold", required), ("--pred", required),
+            ("--mode", dict(choices=["token", "entity_strict"], default="token")),
+            ("--out", dict(help="write metrics JSON here"))]),
+        "kappa": ("agreement between two label files", cmd_kappa,
+                  [("--a", required), ("--b", required), out]),
+        "stats": ("corpus summary and tag distribution", cmd_stats, [infile, out]),
+        "ngrams": ("top n-gram profile as CSV", cmd_ngrams, [
+            infile, ("--n", dict(type=int, required=True)), ("--k", dict(type=int, default=10)),
+            ("--scope", dict(choices=["whole_text", "phi_adjacent"], default="whole_text")),
+            ("--window", dict(type=int, default=3)), ("--stoplist", {}), out]),
+        "compare": ("cross-corpus distance and summaries", cmd_compare, [
+            ("--a", required), ("--b", required),
+            ("--bertscore", dict(action="store_true",
+                                 help="also score a against b with hash embeddings")), out]),
+        "weights": ("class weights for imbalanced training", cmd_weights,
+                    [infile, ("--cap", dict(type=float, default=20.0)), out]),
+        "split": ("deterministic train/val/test split", cmd_split, [
+            infile, ("--out-dir", required),
+            ("--ratios", dict(required=True,
+                              help='absolute sizes "69,10,20" or fractions "0.7,0.1,0.2"')),
+            ("--seed", dict(type=int, default=0))]),
+        "generate": ("synthesize annotated summaries", cmd_generate, [
+            ("--template", dict(required=True, help="A | B | C | path")),
+            ("--exemplars", required), ("--backend", dict(default="")),
+            ("--fanout", dict(type=int, default=1)),
+            ("--temperature", dict(type=float, default=0.9)),
+            ("--timeout-ms", dict(type=int, default=30_000)),
+            ("--retry", dict(type=int, default=0)), ("--out-dir", required), config]),
+        "filter": ("validate raw generations into a corpus", cmd_filter, [
+            ("--raw", dict(required=True, help="id/text JSONL, or a generate run directory")),
+            ("--out-dir", required), ("--min-annotations", dict(type=int)), config]),
+        "run-matrix": ("evaluation grid over dataset cells", cmd_run_matrix, [
+            ("matrix", dict(help="matrix JSON: train_sets, test_sets, mode, out_dir, backend")),
+            ("--out-dir", {})]),
+    }
+    first = next((arg for arg in argv or () if arg not in ("-v", "--verbose")), None)
     parser = _Parser(prog="deidkit", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("convert", help="re-serialize a corpus between formats")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--schema", type=_schema_arg, default=CANONICAL_SCHEMA,
-                   help="canonical | commercial | infer")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("map-tags", help="rewrite tags into a target schema")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--map", help="JSON tag map (default: shipped canonical table)")
-    p.add_argument("--commercial", action="store_true",
-                   help="canonical -> 6-tag comparison set with title stripping")
-    p.add_argument("--audit", help="write the mapping audit JSON here")
-    p.set_defaults(func=cmd_map_tags)
-
-    p = sub.add_parser("deidentify", help="redact or surrogate PHI spans")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["redact", "surrogate"], default="surrogate")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--date-offset", type=int, default=None, help="days")
-    p.add_argument("--time-offset", type=int, default=None, help="minutes")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_deidentify)
-
-    p = sub.add_parser("recognize", help="predict spans with a backend")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--backend", default="",
-                   help='"rules", an http(s) URL, or a subprocess command')
-    p.add_argument("--timeout-ms", type=int, default=10_000)
-    p.add_argument("--retry", type=int, default=0)
-    p.add_argument("--report", help="write run report JSON here")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_recognize)
-
-    p = sub.add_parser("evaluate", help="score predictions against gold")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--mode", choices=["token", "entity_strict"], default="token")
-    p.add_argument("--out", help="write metrics JSON here")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("kappa", help="agreement between two label files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_kappa)
-
-    p = sub.add_parser("stats", help="corpus summary and tag distribution")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("ngrams", help="top n-gram profile as CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--scope", choices=["whole_text", "phi_adjacent"], default="whole_text")
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--stoplist")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ngrams)
-
-    p = sub.add_parser("compare", help="cross-corpus distance and summaries")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--bertscore", action="store_true",
-                   help="also score a against b with hash embeddings")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("weights", help="class weights for imbalanced training")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=float, default=20.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("split", help="deterministic train/val/test split")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratios", required=True,
-                   help='absolute sizes "69,10,20" or fractions "0.7,0.1,0.2"')
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("generate", help="synthesize annotated summaries")
-    p.add_argument("--template", required=True, help="A | B | C | path")
-    p.add_argument("--exemplars", required=True)
-    p.add_argument("--backend", default="")
-    p.add_argument("--fanout", type=int, default=1)
-    p.add_argument("--temperature", type=float, default=0.9)
-    p.add_argument("--timeout-ms", type=int, default=30_000)
-    p.add_argument("--retry", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("filter", help="validate raw generations into a corpus")
-    p.add_argument("--raw", required=True, help="id/text JSONL, or a generate run directory")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-annotations", type=int, default=None)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("run-matrix", help="evaluation grid over dataset cells")
-    p.add_argument("matrix", help="matrix JSON: train_sets, test_sets, mode, out_dir, backend")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_run_matrix)
-
+    metavar = None
+    if first in commands:
+        # an error's usage line still names every subcommand; on the full parser
+        # the metavar would also stand in for `command` in its error messages
+        metavar, commands = "{" + ",".join(commands) + "}", {first: commands[first]}
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=metavar)
+    for name, (help_, handler, flags) in commands.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -8,7 +10,7 @@ from typing import Optional, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deidkit import recognize
+from deidkit import cli, recognize
 from deidkit.annot_io import (
     BadRecordLine, FilterPolicy, as_corpus, read_corpus, read_jsonl, write_conll, write_corpus,
     write_inline_xml, write_jsonl,
@@ -115,6 +117,54 @@ def test_convert_xml_dir_rejects_file_name_that_is_not_utf8(tmp_path, caplog):
 def test_bad_flags_exit_one(capsys):
     assert run("convert", "--in-only-half") == 1
     assert run("not-a-command") == 1
+
+
+def _subcommand_parsers(parser):
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
+NAMES = list(_subcommand_parsers(cli.build_parser()))
+TOKENS = sorted({*NAMES, "-h", "--help", "-v", "--verbose", "--verb", "--", "x", "1", "-1",
+                 "0.5", "token", "rules", "infer",
+                 *(flag for sub in _subcommand_parsers(cli.build_parser()).values()
+                   for action in sub._actions for flag in action.option_strings)})
+
+
+def _parsed(parser, argv):
+    """The namespace `parser` makes of `argv`, or its exit code and output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+@given(st.lists(st.sampled_from(["-v", "--verbose"]), max_size=2),
+       st.sampled_from(NAMES) | st.sampled_from(TOKENS),
+       st.lists(st.sampled_from(TOKENS), max_size=8))
+def test_parser_built_for_argv_parses_it_as_the_full_parser(lead, first, rest):
+    argv = [*lead, first, *rest]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
+
+
+def test_main_builds_the_parser_of_its_subcommand_only(monkeypatch, corpus_path, capsys):
+    built, init = [], cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv, parsers in ((["stats", "--in", corpus_path], 2),
+                          (["-v", "stats", "--in", corpus_path], 2),
+                          (["--help"], 15), (["bogus"], 15)):
+        built.clear()
+        run(*argv)
+        assert len(built) == parsers, (argv, built)
 
 
 def test_map_tags_with_audit(tmp_path):
