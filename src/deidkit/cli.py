@@ -109,6 +109,8 @@ def cmd_convert(args) -> int:
 
 def cmd_map_tags(args) -> int:
     from . import tagmap
+    if args.map and args.commercial:
+        raise ConfigError("map-tags takes --map or --commercial, not both")
     corpus = annot_io.read_corpus(args.infile, schema=None)
     if args.map:
         tm = tagmap.load_tagmap(args.map)
@@ -117,7 +119,7 @@ def cmd_map_tags(args) -> int:
     else:
         tm = tagmap.builtin_canonical_map()
     mapped, audit = tagmap.apply_tagmap(corpus, tm)
-    if args.commercial and not args.map:
+    if args.commercial:
         mapped = Corpus(documents=tuple(map(tagmap.strip_titles, mapped)), schema=mapped.schema)
     annot_io.write_corpus(mapped, args.out)
     if args.audit:

@@ -329,8 +329,8 @@ SPLIT_NAMES = ("train", "val", "test")
 def _split_sizes(ratios: Sequence, n: int) -> list[int]:
     if len(ratios) != len(SPLIT_NAMES):
         raise RatioMismatch(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios):
-        raise RatioMismatch("ratios must be non-negative")
+    if not all(0 <= r < math.inf for r in ratios):  # also false for nan
+        raise RatioMismatch(f"ratios {list(ratios)} are not all finite numbers >= 0")
     if all(isinstance(r, int) for r in ratios):
         if sum(ratios) != n:
             raise RatioMismatch(f"integer ratios sum to {sum(ratios)}, corpus has {n}")

@@ -240,6 +240,16 @@ def test_map_tags_commercial(tmp_path, corpus_path):
     assert "Verma" in surfaces
 
 
+def test_map_tags_refuses_map_with_commercial(tmp_path, corpus_path, caplog):
+    coarse = tmp_path / "map.json"
+    coarse.write_text(json.dumps({"rows": {"NAME": ["PATIENT", "DOCTOR"]}}))
+    out = tmp_path / "o.jsonl"
+    assert run("map-tags", "--in", corpus_path, "--out", out, "--map", coarse,
+               "--commercial") == 1
+    assert "--map or --commercial" in caplog.text
+    assert not out.exists()
+
+
 def test_deidentify_deterministic(tmp_path, corpus_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):

@@ -275,7 +275,8 @@ def test_split_records_membership_in_meta():
             assert doc.meta["split"] == name
 
 
-@pytest.mark.parametrize("ratios", [(1, 2), (3, 3, 3), (0.5, 0.2, 0.2), (-1, 5, 6)])
+@pytest.mark.parametrize("ratios", [(1, 2), (3, 3, 3), (0.5, 0.2, 0.2), (-1, 5, 6),
+                                    (0.5, math.nan, 0.5), (math.nan, 1, 1), (math.inf, 0, 0)])
 def test_split_bad_ratios(ratios):
     with pytest.raises(RatioMismatch):
         split(make_corpus(10), ratios, seed=0)
