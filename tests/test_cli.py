@@ -119,16 +119,12 @@ def test_bad_flags_exit_one(capsys):
     assert run("not-a-command") == 1
 
 
-def _subcommand_parsers(parser):
-    (action,) = (a for a in parser._actions if a.dest == "command")
-    return action.choices
-
-
-NAMES = list(_subcommand_parsers(cli.build_parser()))
+(SUBPARSERS,) = (a.choices for a in cli.build_parser()._actions if a.dest == "command")
+NAMES = list(SUBPARSERS)
 TOKENS = sorted({*NAMES, "-h", "--help", "-v", "--verbose", "--verb", "--", "x", "1", "-1",
                  "0.5", "token", "rules", "infer",
-                 *(flag for sub in _subcommand_parsers(cli.build_parser()).values()
-                   for action in sub._actions for flag in action.option_strings)})
+                 *(flag for sub in SUBPARSERS.values() for action in sub._actions
+                   for flag in action.option_strings)})
 
 
 def _parsed(parser, argv):
