@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in {
     "core": "CANONICAL_SCHEMA CANONICAL_TAGS Corpus DeidError Document EntitySpan TagSchema "
-            "Token bio_to_spans build_schema spans_to_bio tokenize",
+            "bio_to_spans build_schema spans_to_bio tokenize",
     "annot_io": "FilterPolicy parse_inline_xml read_conll read_corpus read_jsonl write_conll "
                 "write_corpus write_inline_xml write_jsonl",
     "tagmap": "COMMERCIAL_SCHEMA MappingAudit TagMap apply_tagmap builtin_canonical_map "

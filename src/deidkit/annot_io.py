@@ -34,7 +34,7 @@ from .core import (
     build_schema,
     is_bio_label,
     spans_to_bio,
-    token_bounds,
+    tokenize,
 )
 
 
@@ -229,13 +229,11 @@ def write_conll(corpus: Corpus) -> str:
     entities must be token-aligned."""
     blocks: list[str] = []
     for doc in corpus:
-        bounds = token_bounds(doc.text)
+        bounds = tokenize(doc.text)
         lines = [f"{doc.text[start:end]}\t{lab}"
                  for (start, end), lab in zip(bounds, spans_to_bio(doc, bounds))]
         blocks.append("\n".join(lines))
-    if not blocks:
-        return ""
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
 def document_to_record(doc: Document) -> dict:

@@ -52,9 +52,7 @@ class PipelineConfig:
                            f"config {path}")
         for section, spec in ("surrogate", SurrogateConfig), ("filter", annot_io.FilterPolicy):
             read_fields(data.get(section, {}), spec, f"config {path} {section}")
-        for lex in data.get("surrogate", {}).get("locale_lexicons", {}).values():
-            if "/" in lex and not Path(lex).is_file():
-                raise ConfigError(f"lexicon file not found: {lex}")
+        SurrogateConfig(**data.get("surrogate", {}))  # its own checks; reads the named lexicons
         return cls(**data)
 
 

@@ -5,8 +5,8 @@ metrics) operates on these types. Offsets are character offsets into the
 document text, never byte offsets. All types are immutable after
 construction, so they can be shared freely across threads; the operations
 in this module are pure functions. A tokenization is a list of (start,
-end) offsets from `token_bounds`; BIO labels travel beside it as a
-separate sequence, one label per token.
+end) offsets from `tokenize`; BIO labels travel beside it as a separate
+sequence, one label per token.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import logging
 import re
 from dataclasses import dataclass, field, fields
 from types import UnionType
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, get_args, get_origin, \
+from typing import Callable, Iterable, Optional, Sequence, get_args, get_origin, \
     get_type_hints
 
 logger = logging.getLogger("deidkit.core")
@@ -26,7 +26,7 @@ class DeidError(Exception):
 
 
 class EntityTokenMisalignment(DeidError):
-    """An entity boundary falls strictly inside a token."""
+    """An entity boundary falls strictly inside a token, or an entity holds no token."""
 
 
 class InvalidBioSequence(DeidError):
@@ -204,21 +204,15 @@ class Corpus:
         raise KeyError(doc_id)
 
 
-class Token(NamedTuple):
-    surface: str
-    start: int
-    end: int
-
-
 # For str patterns [^\W_] is exactly str.isalnum and \s exactly str.isspace.
 # A token runs from an alnum character to the last alnum before the next
 # whitespace, or is a maximal run of other non-whitespace characters.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|(?:[^\w\s]|_)+")
 
 
-def tokenize(text: str) -> tuple[Token, ...]:
-    """Split text into tokens on whitespace, peeling leading/trailing
-    punctuation runs off each chunk as their own tokens.
+def tokenize(text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of the tokens of `text`: whitespace chunks,
+    with leading/trailing punctuation runs peeled off as their own tokens.
 
     Word-internal punctuation is kept, so "120/80" and "25-08-2023" stay
     single tokens while "Dr." splits into "Dr" + ".". `_TOKEN` is the one
@@ -226,18 +220,12 @@ def tokenize(text: str) -> tuple[Token, ...]:
     disjoint; their offsets partition the non-whitespace characters
     exactly, so joining tokens with the original gaps reproduces the text.
     """
-    new = tuple.__new__  # a Token without the NamedTuple constructor's call
-    return tuple(new(Token, (m.group(), m.start(), m.end())) for m in _TOKEN.finditer(text))
+    return [m.span() for m in _TOKEN.finditer(text)]
 
 
 def token_surfaces(text: str) -> list[str]:
-    """The surfaces of tokenize(text), without building Token objects."""
+    """The surfaces of tokenize(text), text[start:end] for each token."""
     return _TOKEN.findall(text)
-
-
-def token_bounds(text: str) -> list[tuple[int, int]]:
-    """The (start, end) offsets of tokenize(text), without building Token objects."""
-    return [m.span() for m in _TOKEN.finditer(text)]
 
 
 def first_overlaps(bounds: Iterable[tuple[int, int]],
@@ -246,7 +234,7 @@ def first_overlaps(bounds: Iterable[tuple[int, int]],
     `spans` that overlaps it, or None.
 
     Relies on two orderings the caller establishes: tokens sorted by start
-    (token_bounds gives that order) and `spans` sorted by (start, -len). A
+    (tokenize gives that order) and `spans` sorted by (start, -len). A
     span with end <= the token's start is then dead for every later token,
     so one pointer skips it for good; the first live span overlaps the
     token or starts at or after its end, as every later span does. Spans
@@ -264,17 +252,24 @@ def first_overlaps(bounds: Iterable[tuple[int, int]],
 
 def spans_to_bio(doc: Document, bounds: Optional[Sequence] = None) -> list[str]:
     """One label per token, given by its (start, end) offsets (default:
-    token_bounds(doc.text)): B-tag on the token holding an entity's first
-    character, I-tag on the remaining overlapped tokens, O elsewhere.
+    tokenize(doc.text)): B-tag on the first token an entity covers, I-tag
+    on the rest of its tokens, O elsewhere. An entity edge may sit on
+    whitespace.
 
-    Raises EntityTokenMisalignment when an entity boundary falls strictly
-    inside a token; the caller decides whether to re-tokenize or reject.
+    Raises EntityTokenMisalignment when an entity covers whitespace only or
+    a boundary falls strictly inside a token; the caller decides whether to
+    re-tokenize or reject.
     """
-    bounds = token_bounds(doc.text) if bounds is None else bounds
+    for ent in doc.entities:
+        if ent.surface.isspace():
+            raise EntityTokenMisalignment(
+                f"doc {doc.id!r}: entity [{ent.start},{ent.end}) covers no token")
+    bounds = tokenize(doc.text) if bounds is None else bounds
     labels = ["O"] * len(bounds)
-    # Document entities are sorted by start and disjoint, which is the
-    # (start, -len) order first_overlaps needs
+    # Document entities are sorted by start and disjoint: the (start, -len)
+    # order first_overlaps needs, and each entity's tokens are consecutive
     hits = first_overlaps(bounds, doc.entities)
+    last = None
     for t_i, ((start, end), ent) in enumerate(zip(bounds, hits)):
         if ent is None:
             continue
@@ -282,8 +277,8 @@ def spans_to_bio(doc: Document, bounds: Optional[Sequence] = None) -> list[str]:
             raise EntityTokenMisalignment(
                 f"doc {doc.id!r}: entity [{ent.start},{ent.end}) splits token "
                 f"{doc.text[start:end]!r} [{start},{end})")
-        prefix = "B" if start == ent.start else "I"
-        labels[t_i] = f"{prefix}-{ent.tag}"
+        labels[t_i] = f"{'I' if ent is last else 'B'}-{ent.tag}"
+        last = ent
     return labels
 
 

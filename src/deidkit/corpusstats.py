@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Corpus, DeidError, first_overlaps, token_bounds, token_surfaces
+from .core import Corpus, DeidError, first_overlaps, token_surfaces, tokenize
 from .evalmetrics import label_tokens
 
 logger = logging.getLogger("deidkit.corpusstats")
@@ -141,7 +141,7 @@ def ngram_profile(corpus: Corpus, n: int, k: int = 10, scope: str = WHOLE_TEXT,
     kept: dict = {}  # surface -> its cleaned form, or "" when it is dropped
     for doc in corpus:
         text = doc.text
-        bounds = token_bounds(text)
+        bounds = tokenize(text)
         # Document entities are sorted by start and disjoint, so this subset
         # is already in the (start, -len) order first_overlaps needs
         phi = [ent for ent in doc.entities if ent.tag != other]

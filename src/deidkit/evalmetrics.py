@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, token_bounds
+from .core import Corpus, DeidError, EntitySpan, TagSchema, first_overlaps, tokenize
 
 TOKEN = "token"
 ENTITY_STRICT = "entity_strict"
@@ -140,11 +140,11 @@ def report_from_confusion(matrix: ConfusionMatrix, schema: TagSchema,
 def label_tokens(doc_text: str, spans: Sequence[EntitySpan], other: str,
                  bounds: Optional[Sequence] = None) -> list:
     """Tag per token, given by its (start, end) offsets (default:
-    token_bounds(doc_text)), by overlap: a token takes the tag of the span
+    tokenize(doc_text)), by overlap: a token takes the tag of the span
     covering it, earliest-starting (then longest) span first. Tolerates
     spans that are unsorted, overlapping or not aligned to token
     boundaries."""
-    bounds = token_bounds(doc_text) if bounds is None else bounds
+    bounds = tokenize(doc_text) if bounds is None else bounds
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     return [other if span is None else span.tag
             for span in first_overlaps(bounds, ordered)]
@@ -172,7 +172,7 @@ def evaluate(gold: Corpus, pred: Mapping[str, Sequence[EntitySpan]],
     if mode == TOKEN:
         pairs: Counter = Counter()
         for doc in gold:
-            bounds = token_bounds(doc.text)
+            bounds = tokenize(doc.text)
             pairs.update(zip(label_tokens(doc.text, doc.entities, schema.other, bounds),
                              label_tokens(doc.text, pred[doc.id], schema.other, bounds)))
         for (g, p), n in pairs.items():

@@ -22,6 +22,7 @@ import _sre
 import json
 import os
 import re
+import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -197,7 +198,9 @@ class RecognizerBackend:
             raise ValueError(f"bad backend kind {self.kind!r}")
         if self.kind == EXTERNAL and not self.endpoint:
             raise ValueError("external backend needs an endpoint")
-        if self.timeout_ms <= 0 or self.retry < 0 or self.max_in_flight < 1:
+        # past threading.TIMEOUT_MAX, select and socket timeouts overflow the clock
+        if not 0 < self.timeout_ms <= threading.TIMEOUT_MAX * 1000 or self.retry < 0 \
+                or self.max_in_flight < 1:
             raise ValueError("bad backend limits")
 
     def predicted(self, doc: Document, spans) -> Document:

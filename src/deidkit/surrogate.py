@@ -61,9 +61,13 @@ class SurrogateConfig:
             raise ValueError(f"bad age_policy {self.age_policy!r}")
         if self.age_jitter_years < 0:
             raise ValueError("age_jitter_years must be >= 0")
-        # lexicon source -> entries, read once per config; an attribute, not
-        # a field, so that it is no config key
-        object.__setattr__(self, "_pools", {})
+        unknown = sorted(set(self.locale_lexicons) - _LEXICON_TAGS.keys())
+        if unknown:
+            raise ValueError(f"locale_lexicons keys must be in {sorted(_LEXICON_TAGS)}: {unknown}")
+        # lexicon source -> entries, read once per config, the named ones now;
+        # an attribute, not a field, so that it is no config key
+        object.__setattr__(self, "_pools", {src: load_lexicon(src)
+                                            for src in self.locale_lexicons.values()})
 
 
 def normalize_surface(surface: str) -> str:

@@ -30,7 +30,6 @@ from deidkit.core import (
     Document,
     EntitySpan,
     InvalidBioSequence,
-    Token,
     tokenize,
 )
 from deidkit.recognize import ProtocolViolation, SpanOutOfRange, default_rulebook
@@ -53,8 +52,8 @@ PHI_TAGS = [t for t in CANONICAL_SCHEMA.tags if t != CANONICAL_SCHEMA.other]
 # --- tokenizer and per-character counts, one character at a time -----------
 
 def oracle_tokenize(text: str) -> tuple:
-    """Whitespace chunks, each with its leading and trailing non-alnum runs
-    peeled off as their own tokens."""
+    """(surface, start, end) of each token: whitespace chunks, each with
+    its leading and trailing non-alnum runs peeled off as their own tokens."""
     tokens: list = []
     n = len(text)
     i = 0
@@ -69,16 +68,16 @@ def oracle_tokenize(text: str) -> tuple:
         while a < j and not text[a].isalnum():
             a += 1
         if a == j:
-            tokens.append(Token(text[i:j], i, j))
+            tokens.append((text[i:j], i, j))
         else:
             b = j
             while b > a and not text[b - 1].isalnum():
                 b -= 1
             if a > i:
-                tokens.append(Token(text[i:a], i, a))
-            tokens.append(Token(text[a:b], a, b))
+                tokens.append((text[i:a], i, a))
+            tokens.append((text[a:b], a, b))
             if b < j:
-                tokens.append(Token(text[b:j], b, j))
+                tokens.append((text[b:j], b, j))
         i = j
     return tuple(tokens)
 
@@ -107,7 +106,7 @@ def oracle_repeat_ratio(surfaces: list) -> float:
 def oracle_gate_reason(text: str, policy):
     """The reject code of the length, printable and repetition gates, in
     filter order, for a parsed document's text; None when all pass."""
-    surfaces = [tok.surface for tok in oracle_tokenize(text)]
+    surfaces = [surface for surface, _, _ in oracle_tokenize(text)]
     lo, hi = policy.length_bounds
     if not (lo <= len(surfaces) <= hi):
         return LENGTH_OUT_OF_BOUNDS
@@ -201,7 +200,7 @@ def random_doc(rng: random.Random, doc_id: str, max_tokens: int = 60,
     while i < len(toks):
         if rng.random() < 0.25:
             width = min(rng.randint(1, 3), len(toks) - i)
-            start, end = toks[i].start, toks[i + width - 1].end
+            start, end = toks[i][0], toks[i + width - 1][1]
             if jitter:
                 if rng.random() < 0.3 and end - start > 2:
                     start += 1
@@ -237,7 +236,7 @@ def random_doc_spans_for(doc: Document, rng: random.Random):
     while i < len(toks):
         if rng.random() < 0.25:
             width = min(rng.randint(1, 2), len(toks) - i)
-            start, end = toks[i].start, toks[i + width - 1].end
+            start, end = toks[i][0], toks[i + width - 1][1]
             if rng.random() < 0.3 and end - start > 2:
                 start += 1
             spans.append(EntitySpan(start, end, rng.choice(PHI_TAGS),
@@ -258,10 +257,10 @@ def char_tags(text: str, spans, other: str) -> list:
     return tags
 
 
-def token_label_by_chars(tok, ctags, other: str) -> str:
-    """Tag at the first covered non-other character; equals earliest-start
-    overlap resolution for disjoint spans."""
-    for k in range(tok.start, tok.end):
+def token_label_by_chars(bounds, ctags, other: str) -> str:
+    """Tag at the first non-other character of the token with (start, end)
+    `bounds`; equals earliest-start overlap resolution for disjoint spans."""
+    for k in range(*bounds):
         if ctags[k] != other:
             return ctags[k]
     return other
@@ -331,20 +330,21 @@ def oracle_report(counts: dict, schema=CANONICAL_SCHEMA) -> dict:
 
 # --- label_tokens: the nested-loop reference ------------------------------
 
-def oracle_label_tokens(doc_text: str, spans, other: str, toks=None) -> list:
+def oracle_label_tokens(doc_text: str, spans, other: str, bounds=None) -> list:
     """Rescan the (start, -len)-sorted span list from the front for every
-    token; the first span that overlaps the token gives its tag. O(tokens x
-    spans), and exact for unsorted, overlapping and off-boundary spans."""
-    if toks is None:
-        toks = tokenize(doc_text)
+    token, given by its (start, end) offsets; the first span that overlaps
+    the token gives its tag. O(tokens x spans), and exact for unsorted,
+    overlapping and off-boundary spans."""
+    if bounds is None:
+        bounds = tokenize(doc_text)
     ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start)))
     labels = []
-    for tok in toks:
+    for start, end in bounds:
         label = other
         for span in ordered:
-            if span.start >= tok.end:
+            if span.start >= end:
                 break
-            if span.end > tok.start:
+            if span.end > start:
                 label = span.tag
                 break
         labels.append(label)
@@ -510,7 +510,7 @@ def oracle_phi_adjacent_counts(corpus: Corpus, n: int, window: int, stoplist=())
         ctags = char_tags(doc.text, doc.entities, other)
         kept = []
         for tok in tokenize(doc.text):
-            c = oracle_clean_token(tok.surface)
+            c = oracle_clean_token(doc.text[tok[0]:tok[1]])
             if c and c not in stop:
                 kept.append((c, token_label_by_chars(tok, ctags, other) != other))
         for i in range(len(kept) - n + 1):

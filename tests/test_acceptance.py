@@ -49,7 +49,6 @@ from deidkit import (
     write_jsonl,
 )
 from deidkit.cli import main as cli_main
-from deidkit.core import token_bounds
 
 from _oracles import (
     oracle_bertscore,
@@ -154,7 +153,7 @@ def test_c04_bio_and_serialization_round_trips(verdict):
     for i in range(1000):
         doc = random_doc(rng, f"doc-{i:04d}", max_tokens=40)
         docs.append(doc)
-        bounds = token_bounds(doc.text)
+        bounds = tokenize(doc.text)
         back = bio_to_spans(bounds, spans_to_bio(doc, bounds), doc.text)
         if tuple(back) != doc.entities:
             bad.append(("bio", doc.id))
@@ -330,8 +329,8 @@ def test_c09_generation_pipeline_with_scripted_faults(verdict, mock_cmd,
     # CoNLL rejoins tokens with single spaces, so compare token streams
     accepted = read_corpus(out / "accepted.jsonl")
     reparsed = read_conll(write_conll(accepted))
-    if [[t.surface for t in tokenize(d.text)] for d in reparsed] != \
-            [[t.surface for t in tokenize(d.text)] for d in accepted]:
+    if [[d.text[s:e] for s, e in tokenize(d.text)] for d in reparsed] != \
+            [[d.text[s:e] for s, e in tokenize(d.text)] for d in accepted]:
         bad.append(("conll-tokens",))
     if [[e.tag for e in d.entities] for d in reparsed] != \
             [[e.tag for e in d.entities] for d in accepted]:

@@ -22,9 +22,9 @@ from deidkit.annot_io import (
     write_inline_xml,
     write_jsonl,
 )
-from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
+from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan, EntityTokenMisalignment
 
-from _oracles import oracle_parse_inline_xml, random_doc
+from _oracles import PHI_TAGS, oracle_label_tokens, oracle_parse_inline_xml, random_doc, random_word
 
 
 XML = ("<RECORD>Patient <TYPE='PATIENT'>Asha Rao</TYPE> seen on "
@@ -282,3 +282,50 @@ def test_conll_round_trip_property(seed):
     # single-space join preserves these texts exactly
     assert back.get("doc-0").text == doc.text
     assert back.get("doc-0").entities == doc.entities
+
+
+def whitespace_edged_doc(rng: random.Random) -> Document:
+    """Alnum words (one token each) between runs of one to three spaces.
+    An entity covers a run of words and may take in whitespace before and
+    after them, or covers whitespace only; entities stay disjoint."""
+    text, words = " " * rng.randint(0, 2), []
+    for _ in range(rng.randint(1, 10)):
+        word = random_word(rng)
+        words.append((len(text), len(text) + len(word)))
+        text += word + " " * rng.randint(1, 3)
+    spans, free = [], 0  # no entity may start before `free`
+    i = 0
+    while i < len(words):
+        gap_start = max(free, words[i - 1][1] if i else 0)
+        roll = rng.random()
+        if roll < 0.1 and gap_start < words[i][0]:  # whitespace only
+            start = rng.randrange(gap_start, words[i][0])
+            end = rng.randint(start + 1, words[i][0])
+        elif roll < 0.5:
+            last = min(i + rng.randint(0, 2), len(words) - 1)
+            start = rng.randint(gap_start, words[i][0])
+            after = words[last + 1][0] if last + 1 < len(words) else len(text)
+            end = rng.randint(words[last][1], after)
+            i = last + 1
+        else:
+            i += 1
+            continue
+        spans.append(EntitySpan(start, end, rng.choice(PHI_TAGS), text[start:end]))
+        free = end
+    return Document(id="doc-0", text=text, entities=tuple(spans))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_conll_round_trip_keeps_entities_with_whitespace_edges(seed):
+    doc = whitespace_edged_doc(random.Random(seed))
+    corpus = Corpus(documents=(doc,), schema=CANONICAL_SCHEMA)
+    if any(not ent.surface.strip() for ent in doc.entities):
+        # CoNLL has no line for whitespace, so such an entity cannot be written
+        with pytest.raises(EntityTokenMisalignment, match="covers no token"):
+            write_conll(corpus)
+        return
+    back = read_conll(write_conll(corpus)).get("doc-0")
+    assert back.text == " ".join(doc.text.split())
+    assert len(back.entities) == len(doc.entities)
+    assert oracle_label_tokens(back.text, back.entities, "O") == \
+        oracle_label_tokens(doc.text, doc.entities, "O")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -39,6 +40,27 @@ def test_convert_jsonl_to_conll_and_back(tmp_path, corpus_path):
     back = tmp_path / "back.jsonl"
     assert run("convert", "--in", conll, "--out", back) == 0
     assert len(read_corpus(back)) == 2
+
+
+def test_convert_conll_entity_edges_on_whitespace(tmp_path, caplog):
+    def convert(text, start, end, out):
+        src = tmp_path / "in.jsonl"
+        write_corpus(Corpus(documents=(
+            Document(id="d", text=text, entities=(EntitySpan(start, end, "PATIENT",
+                                                             text[start:end]),)),)), src)
+        return run("convert", "--in", src, "--out", out)
+
+    # an entity that starts on whitespace begins on its first token, and reads back
+    conll = tmp_path / "lead.conll"
+    assert convert("Name:  Asha Rao today", 5, 15, conll) == 0
+    assert "Asha\tB-PATIENT\nRao\tI-PATIENT\n" in conll.read_text()
+    assert run("convert", "--in", conll, "--out", tmp_path / "back.jsonl") == 0
+    assert [e.surface for e in read_corpus(tmp_path / "back.jsonl").documents[0].entities] \
+        == ["Asha Rao"]
+    # one that covers whitespace only is refused, not dropped
+    assert convert("Name: Asha  Rao", 10, 12, tmp_path / "gap.conll") == 1
+    assert "doc 'd': entity [10,12) covers no token" in caplog.text
+    assert not (tmp_path / "gap.conll").exists()
 
 
 def test_convert_missing_input_is_io_error(tmp_path):
@@ -501,6 +523,23 @@ def test_generate_all_failed_writes_empty_raw_jsonl(tmp_path, corpus_path, mock_
     assert json.loads(capsys.readouterr().out)["accepted"] == 0
 
 
+@pytest.mark.parametrize("command", ["recognize", "generate"])
+def test_timeout_past_the_clock_limit_exits_one(tmp_path, corpus_path, mock_cmd, caplog,
+                                                command):
+    # select and socket timeouts overflow past threading.TIMEOUT_MAX seconds
+    limit_ms = int(threading.TIMEOUT_MAX * 1000)
+
+    def call(backend, timeout_ms, out):
+        io_flags = (["--in", corpus_path, "--out", f"{out}.jsonl"] if command == "recognize" else
+                    ["--template", "A", "--exemplars", corpus_path, "--out-dir", out])
+        return run(command, *io_flags, "--backend", backend, "--timeout-ms", timeout_ms)
+
+    # spawning a backend that does not exist exits 2: 1 shows that nothing was spawned
+    assert call(tmp_path / "no-such-backend", limit_ms + 1000, tmp_path / "past") == 1
+    assert "bad backend limits" in caplog.text
+    assert call(mock_cmd, limit_ms, tmp_path / "limit") == 0
+
+
 def test_generate_requires_external_backend(tmp_path, corpus_path):
     assert run("generate", "--template", "A", "--exemplars", corpus_path,
                "--backend", "rules", "--out-dir", tmp_path / "g") == 1
@@ -658,6 +697,24 @@ def test_deeply_nested_json_exits_one(tmp_path, corpus_path, caplog, flag):
     assert run(command, "--in", corpus_path, "--out", tmp_path / "o.jsonl", flag, deep) == 1
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "recursion" in errors[0].getMessage()
+
+
+@pytest.mark.parametrize("lexicons, named", [
+    ({"PATEINT": "names.txt"}, "PATEINT"),
+    ({"PATIENT": "nosuch.txt"}, "nosuch.txt"),
+], ids=["misspelt-tag", "missing-file"])
+def test_deidentify_config_refuses_bad_locale_lexicons(tmp_path, caplog, lexicons, named):
+    # no PATIENT in the corpus, so a lexicon read only on use would never be read
+    text = "seen on 01-02-2024"
+    src = tmp_path / "in.jsonl"
+    write_corpus(Corpus(documents=(
+        Document(id="d", text=text, entities=(EntitySpan(8, 18, "DATE", text[8:18]),)),)), src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surrogate": {"locale_lexicons": lexicons}}))
+    out = tmp_path / "out.jsonl"
+    assert run("deidentify", "--in", src, "--out", out, "--config", cfg) == 1
+    assert named in caplog.text
+    assert not out.exists()
 
 
 def test_config_feeds_deidentify(tmp_path, corpus_path):

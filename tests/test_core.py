@@ -16,19 +16,14 @@ from deidkit.core import (
     bio_to_spans,
     build_schema,
     spans_to_bio,
-    token_bounds,
     tokenize,
 )
 
 from _oracles import OracleDocument, OracleEntitySpan, oracle_check_bio, random_doc
 
 
-def offsets(text):
-    return [(t.start, t.end) for t in tokenize(text)]
-
-
 def surfaces(text):
-    return [t.surface for t in tokenize(text)]
+    return [text[start:end] for start, end in tokenize(text)]
 
 
 def test_canonical_schema_shape():
@@ -54,7 +49,7 @@ def test_schema_membership():
     ("a", [(0, 1)]),
 ])
 def test_tokenize_offsets(text, expect):
-    assert offsets(text) == expect
+    assert tokenize(text) == expect
 
 
 def test_tokenize_surfaces():
@@ -69,15 +64,14 @@ def test_tokenize_internal_punctuation_kept():
 
 @given(st.text(min_size=0, max_size=80))
 def test_tokenize_partitions_text(text):
-    toks = tokenize(text)
     prev = 0
-    for tok in toks:
-        assert prev <= tok.start < tok.end <= len(text)
-        assert tok.surface == text[tok.start:tok.end]
-        assert tok.surface.strip() == tok.surface and tok.surface
+    for start, end in tokenize(text):
+        assert prev <= start < end <= len(text)
+        surface = text[start:end]
+        assert surface.strip() == surface and surface
         # the skipped gap is pure whitespace
-        assert text[prev:tok.start].strip() == ""
-        prev = tok.end
+        assert text[prev:start].strip() == ""
+        prev = end
     assert text[prev:].strip() == ""
 
 
@@ -196,12 +190,12 @@ def test_spans_to_bio_misalignment():
 
 def test_bio_to_spans_strict_rejects_dangling_i():
     with pytest.raises(InvalidBioSequence):
-        bio_to_spans(token_bounds("a b"), ("O", "I-DATE"), "a b", strict=True)
+        bio_to_spans(tokenize("a b"), ("O", "I-DATE"), "a b", strict=True)
 
 
 def test_bio_to_spans_lenient_repairs_dangling_i():
     repairs = []
-    spans = bio_to_spans(token_bounds("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
+    spans = bio_to_spans(tokenize("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
                          repairs=repairs)
     assert [(s.start, s.end, s.tag) for s in spans] == [(2, 5, "DATE")]
     assert len(repairs) == 1
@@ -209,12 +203,12 @@ def test_bio_to_spans_lenient_repairs_dangling_i():
 
 def test_bio_adjacent_entities_stay_separate():
     text = "x y"
-    spans = bio_to_spans(token_bounds(text), ("B-ID", "B-ID"), text)
+    spans = bio_to_spans(tokenize(text), ("B-ID", "B-ID"), text)
     assert [(s.start, s.end) for s in spans] == [(0, 1), (2, 3)]
 
 
 def test_bio_to_spans_rejects_label_count_mismatch():
-    bounds = token_bounds("a b")
+    bounds = tokenize("a b")
     for labels in (("O",), ("O", "O", "O"), ("B-ID",), ("B-ID", "I-ID", "O")):
         for strict in (True, False):
             with pytest.raises(ValueError):
@@ -224,7 +218,7 @@ def test_bio_to_spans_rejects_label_count_mismatch():
 @given(st.lists(st.sampled_from(["O", "B-ID", "I-ID", "B-DATE", "I-DATE"]), max_size=8))
 def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
     text = " ".join("x" * len(labels))
-    bounds = token_bounds(text)
+    bounds = tokenize(text)
 
     def rejects(check) -> bool:
         try:
@@ -241,6 +235,6 @@ def test_strict_bio_to_spans_rejects_what_check_bio_rejected(labels):
 def test_bio_round_trip_property(seed):
     rng = random.Random(seed)
     doc = random_doc(rng, "doc-0", max_tokens=40)
-    bounds = token_bounds(doc.text)
+    bounds = tokenize(doc.text)
     back = bio_to_spans(bounds, spans_to_bio(doc, bounds), doc.text)
     assert tuple(back) == doc.entities

@@ -142,12 +142,12 @@ def _file_digests(workdir: Path) -> dict:
             for path in sorted(workdir.rglob("*")) if path.is_file()}
 
 
-def run_all(workdir: Path) -> list:
+def run_all(workdir: Path, argvs=ARGVS) -> list:
     """One record per argv, run in order with `workdir` as the current directory."""
     write_inputs(workdir)
     records = []
     before = _file_digests(workdir)
-    for argv in ARGVS:
+    for argv in argvs:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main([arg.replace("{mock}", MOCK) for arg in argv])

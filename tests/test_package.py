@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import subprocess
@@ -14,7 +15,7 @@ PUBLIC_NAMES = set("""
 AGE_JITTER AGE_PRESERVE AgreementReport CANONICAL_SCHEMA CANONICAL_TAGS COMMERCIAL_SCHEMA
 ConfusionMatrix Corpus CorpusSummary DeidError Document ENTITY_STRICT EntitySpan FilterPolicy
 GenerationJob MappingAudit MetricsReport PromptTemplate REDACT
-RecognizerBackend Rulebook SURROGATE SurrogateConfig SurrogatePlan TOKEN TagMap TagSchema Token
+RecognizerBackend Rulebook SURROGATE SurrogateConfig SurrogatePlan TOKEN TagMap TagSchema
 apply_surrogates apply_tagmap bertscore_greedy bio_to_spans build_schema
 builtin_canonical_map class_weights cohens_kappa commercial_comparison_map evaluate
 filter_outputs generate jaccard_distance load_template ngram_profile normalize_tag
@@ -138,7 +139,7 @@ def test_backend_errors_are_core_classes_under_their_old_names():
 
 
 def test_lazy_table_resolves_every_public_name():
-    assert len(PUBLIC_NAMES) == 69
+    assert len(PUBLIC_NAMES) == 68
     namespace = {}
     exec("from deidkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
@@ -179,3 +180,26 @@ def test_perfbench_traces_functions_that_exist():
         fn = getattr(module, function, None)
         # the tracer wraps only the functions a module defines itself
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_every_traced_function_runs_in_a_golden_argv(tmp_path, monkeypatch):
+    # the blind spot of the test above: a function that exists but that no
+    # subcommand calls any more also leaves its per-layer metric at zero
+    from test_golden import ARGVS, MOCK_PATH, run_all
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = {*_literal(bench / "bench.py", "SELF_TIMED"), *_literal(bench / "bench.py", "SCALED"),
+             *_literal(bench / "spans.py", "_hooks")}
+    spec = importlib.util.spec_from_file_location("perfbench_spans", bench / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", MOCK_PATH)
+    monkeypatch.delenv("DEIDKIT_BACKEND", raising=False)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run_all(tmp_path, [argv for argv in ARGVS if "--help" not in argv])
+    finally:
+        tracer.uninstall()
+    assert sorted(names - {span.name for span in tracer.spans}) == []

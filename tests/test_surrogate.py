@@ -322,10 +322,13 @@ def test_each_config_reads_its_lexicons_once(tmp_path):
 
 
 def test_missing_lexicon_raises(tmp_path):
-    cfg = SurrogateConfig(seed=0, locale_lexicons={"PATIENT": str(tmp_path / "no.txt")})
-    doc = doc_with("Asha Rao", (0, 8, "PATIENT"))
+    # the config reads the lexicons it names, so a missing one fails before any planning
     with pytest.raises(MissingLexicon):
-        plan_surrogates(doc, cfg)
+        SurrogateConfig(seed=0, locale_lexicons={"PATIENT": str(tmp_path / "no.txt")})
+    with pytest.raises(MissingLexicon):
+        SurrogateConfig(locale_lexicons={"DOCTOR": "nosuch.txt"})  # no path, no package file
+    with pytest.raises(ValueError, match="PATEINT"):
+        SurrogateConfig(locale_lexicons={"PATEINT": "person_names.txt"})
 
 
 def test_packaged_lexicons_load():
