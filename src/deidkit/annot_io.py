@@ -182,12 +182,11 @@ def write_inline_xml(doc: Document) -> str:
     return "".join(parts)
 
 
-def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
-               strict: bool = True) -> Corpus:
+def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA) -> Corpus:
     """Parse tab-separated token/label lines into a corpus.
 
-    Documents are rebuilt by joining tokens with single spaces; BIO validity
-    is enforced (strict) or repaired (lenient)."""
+    Documents are rebuilt by joining tokens with single spaces; a label
+    sequence that breaks the BIO rules raises InvalidBioSequence."""
     docs: list[Document] = []
     tokens: list[str] = []
     labels: list[str] = []
@@ -201,7 +200,7 @@ def read_conll(raw: str, schema: Optional[TagSchema] = CANONICAL_SCHEMA,
         for t in tokens:
             bounds.append((pos, pos + len(t)))
             pos += len(t) + 1
-        spans = bio_to_spans(bounds, labels, text, strict=strict)
+        spans = bio_to_spans(bounds, labels, text)
         docs.append(Document(id=f"doc-{len(docs)}", text=text, entities=tuple(spans)))
         tokens.clear()
         labels.clear()

@@ -35,24 +35,35 @@ MATRIX_FIELDS = {"train_sets": dict[str, str | list[str]], "test_sets": dict[str
 
 @dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    """Defaults shared across subcommands; flags always win."""
+    """Defaults shared across subcommands; flags always win. The field types
+    are the config file's, where each section is a JSON object; `load`
+    builds the sections."""
 
     concurrency: int = 4
     backend: str = ""
-    surrogate: dict = dataclasses.field(default_factory=dict)  # SurrogateConfig fields
-    filter: dict = dataclasses.field(default_factory=dict)  # FilterPolicy fields
+    surrogate: dict = dataclasses.field(default_factory=dict)  # load: a SurrogateConfig
+    filter: dict = dataclasses.field(default_factory=dict)  # load: a FilterPolicy
 
     @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        """The config in the JSON file at `path`, or the defaults without one."""
-        if not path:
-            return cls()
-        from .surrogate import SurrogateConfig
+    def load(cls, args) -> "PipelineConfig":
+        """The config in the JSON file `args.config` names, or the defaults
+        without one, with each section built once, the command's flags put
+        over the file's values. So a bad value or lexicon raises here, for
+        every command. The surrogate section, whose module loads only for
+        it, is built for `deidentify` and for a file that holds one."""
+        path = args.config
         data = read_fields(json.loads(Path(path).read_text(encoding="utf-8")), cls,
-                           f"config {path}")
-        for section, spec in ("surrogate", SurrogateConfig), ("filter", annot_io.FilterPolicy):
-            read_fields(data.get(section, {}), spec, f"config {path} {section}")
-        SurrogateConfig(**data.get("surrogate", {}))  # its own checks; reads the named lexicons
+                           f"config {path}") if path else {}
+        sections = {"filter": (annot_io.FilterPolicy, {"min_annotations": "min_annotations"})}
+        if "surrogate" in data or args.command == "deidentify":
+            from .surrogate import SurrogateConfig
+            sections["surrogate"] = (SurrogateConfig, {
+                "seed": "seed", "date_offset_days": "date_offset",
+                "time_offset_minutes": "time_offset"})
+        for section, (spec, flags) in sections.items():
+            values = read_fields(data.get(section, {}), spec, f"config {path} {section}")
+            given = {key: getattr(args, flag, None) for key, flag in flags.items()}
+            data[section] = spec(**{**values, **{k: v for k, v in given.items() if v is not None}})
         return cls(**data)
 
 
@@ -80,8 +91,8 @@ def _write_json(obj, path: Optional[str] = None) -> None:
 def _backend_from_args(args, config: PipelineConfig) -> recognize.RecognizerBackend:
     from . import recognize
     endpoint = os.environ.get(ENV_BACKEND) or getattr(args, "backend", "") or config.backend
-    if not endpoint or endpoint == "rules":
-        return recognize.RecognizerBackend(kind=recognize.BUILTIN_RULES, name="rules")
+    if not endpoint or endpoint == recognize.BUILTIN_RULES:
+        return recognize.RecognizerBackend()
     return recognize.RecognizerBackend(
         kind=recognize.EXTERNAL,
         endpoint=endpoint,
@@ -89,11 +100,6 @@ def _backend_from_args(args, config: PipelineConfig) -> recognize.RecognizerBack
         retry=getattr(args, "retry", 0),
         max_in_flight=config.concurrency,
     )
-
-
-def _with_flags(section: dict, **flags) -> dict:
-    """A config section with each flag that was given put over it."""
-    return {**section, **{key: value for key, value in flags.items() if value is not None}}
 
 
 # --- subcommand implementations -------------------------------------------
@@ -129,19 +135,16 @@ def cmd_map_tags(args) -> int:
 
 def cmd_deidentify(args) -> int:
     from . import surrogate
-    config = PipelineConfig.load(args.config)
+    config = PipelineConfig.load(args)
     corpus = annot_io.read_corpus(args.infile)
-    cfg = surrogate.SurrogateConfig(**_with_flags(
-        config.surrogate, seed=args.seed, date_offset_days=args.date_offset,
-        time_offset_minutes=args.time_offset))
-    out = surrogate.scrub_corpus(corpus, args.mode, cfg)
+    out = surrogate.scrub_corpus(corpus, args.mode, config.surrogate)
     annot_io.write_corpus(out, args.out)
     return 0
 
 
 def cmd_recognize(args) -> int:
     from . import recognize
-    config = PipelineConfig.load(args.config)
+    config = PipelineConfig.load(args)
     corpus = annot_io.read_corpus(args.infile)
     backend = _backend_from_args(args, config)
     result = recognize.recognize_corpus(corpus, backend)
@@ -246,16 +249,15 @@ def _parse_ratios(raw: str):
 
 def cmd_generate(args) -> int:
     from . import recognize, syngen
-    config = PipelineConfig.load(args.config)
+    config = PipelineConfig.load(args)
     template = syngen.load_template(args.template)
     exemplars = annot_io.read_corpus(args.exemplars)
     backend = _backend_from_args(args, config)
     if backend.kind != recognize.EXTERNAL:
         raise ConfigError("generate needs an external backend endpoint")
-    policy = syngen.FilterPolicy(**config.filter)
     job = syngen.GenerationJob(
         template=template, exemplars=exemplars, backend=backend,
-        fanout=args.fanout, temperature=args.temperature, policy=policy,
+        fanout=args.fanout, temperature=args.temperature, policy=config.filter,
     )
     summary = syngen.run_generation_job(job, args.out_dir)
     _write_json(summary, None)
@@ -264,11 +266,9 @@ def cmd_generate(args) -> int:
 
 def cmd_filter(args) -> int:
     from . import syngen
-    config = PipelineConfig.load(args.config)
+    config = PipelineConfig.load(args)
     raw = syngen.load_raw(args.raw)
-    policy = syngen.FilterPolicy(**_with_flags(config.filter,
-                                               min_annotations=args.min_annotations))
-    corpus, rejects = syngen.filter_outputs(raw, policy)
+    corpus, rejects = syngen.filter_outputs(raw, config.filter)
     syngen.write_filtered(corpus, rejects, args.out_dir)
     _write_json({"accepted": len(corpus), "rejected": len(rejects.rejects),
                  "reject_counts": rejects.counts()}, None)
@@ -305,7 +305,7 @@ def cmd_run_matrix(args) -> int:
         answered = Corpus(documents=tuple(d for d in test_corpus if d.id in pred),
                           schema=test_corpus.schema)
         report, matrix = evalmetrics.evaluate(answered, pred, mode=mode)
-        cells[test_name] = {"backend": backend.name or backend.kind, "confusion": matrix,
+        cells[test_name] = {"backend": backend.kind, "confusion": matrix,
                             "metrics": evalmetrics.report_to_dict(report)}
         if result.excluded:
             cells[test_name]["excluded"] = result.excluded

@@ -197,12 +197,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def get(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
 
 # For str patterns [^\W_] is exactly str.isalnum and \s exactly str.isspace.
 # A token runs from an alnum character to the last alnum before the next
@@ -250,11 +244,10 @@ def first_overlaps(bounds: Iterable[tuple[int, int]],
     return out
 
 
-def spans_to_bio(doc: Document, bounds: Optional[Sequence] = None) -> list[str]:
-    """One label per token, given by its (start, end) offsets (default:
-    tokenize(doc.text)): B-tag on the first token an entity covers, I-tag
-    on the rest of its tokens, O elsewhere. An entity edge may sit on
-    whitespace.
+def spans_to_bio(doc: Document, bounds: Sequence[tuple[int, int]]) -> list[str]:
+    """One label per token of doc.text, given by its (start, end) offsets
+    from tokenize: B-tag on the first token an entity covers, I-tag on the
+    rest of its tokens, O elsewhere. An entity edge may sit on whitespace.
 
     Raises EntityTokenMisalignment when an entity covers whitespace only or
     a boundary falls strictly inside a token; the caller decides whether to
@@ -264,7 +257,6 @@ def spans_to_bio(doc: Document, bounds: Optional[Sequence] = None) -> list[str]:
         if ent.surface.isspace():
             raise EntityTokenMisalignment(
                 f"doc {doc.id!r}: entity [{ent.start},{ent.end}) covers no token")
-    bounds = tokenize(doc.text) if bounds is None else bounds
     labels = ["O"] * len(bounds)
     # Document entities are sorted by start and disjoint: the (start, -len)
     # order first_overlaps needs, and each entity's tokens are consecutive
@@ -287,21 +279,15 @@ def is_bio_label(label: str) -> bool:
     return label == "O" or (label[:2] in ("B-", "I-") and len(label) > 2)
 
 
-def bio_to_spans(
-    bounds: Sequence[tuple[int, int]],
-    labels: Sequence[str],
-    text: str,
-    strict: bool = True,
-    repairs: Optional[list] = None,
-) -> list[EntitySpan]:
+def bio_to_spans(bounds: Sequence[tuple[int, int]], labels: Sequence[str], text: str,
+                 strict: bool = True) -> list[EntitySpan]:
     """Collapse maximal B/I runs of `labels`, one per token given by its
     (start, end) offsets in `bounds`, into entity spans over `text`. The
     caller vouches for the tokens (in start order, disjoint) and the label
     syntax (is_bio_label); a count mismatch is a ValueError.
 
     Strict mode raises InvalidBioSequence on a dangling I-tag. Lenient mode
-    treats it as the start of a new entity and records the repair (appended
-    to `repairs` when given, logged otherwise).
+    treats it as the start of a new entity and logs the repair at debug.
     """
     spans: list[EntitySpan] = []
     run_start: Optional[int] = None
@@ -331,10 +317,7 @@ def bio_to_spans(
                 msg = f"dangling {lab} at token {i}"
                 if strict:
                     raise InvalidBioSequence(msg)
-                if repairs is not None:
-                    repairs.append(msg)
-                else:
-                    logger.debug("bio repair: %s", msg)
+                logger.debug("bio repair: %s", msg)
                 flush()
                 run_start, run_end, run_tag = start, end, tag
     flush()

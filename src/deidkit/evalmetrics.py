@@ -56,9 +56,6 @@ class ConfusionMatrix:
     def add(self, gold: str, pred: str, n: int = 1) -> None:
         self.counts[self._index[gold]][self._index[pred]] += n
 
-    def get(self, gold: str, pred: str) -> int:
-        return self.counts[self._index[gold]][self._index[pred]]
-
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)

@@ -49,7 +49,7 @@ try:  # the case pairs re.I matches beyond simple lowercasing: s/ſ, i/ı, ...
 except ImportError:  # Python 3.10
     from sre_compile import _ignorecase_fixes as _EXTRA_CASES
 
-BUILTIN_RULES = "builtin_rules"
+BUILTIN_RULES = "rules"
 EXTERNAL = "external"
 
 
@@ -190,7 +190,6 @@ class RecognizerBackend:
     endpoint: str = ""  # http(s) URL or subprocess command line
     timeout_ms: int = 10_000
     retry: int = 0
-    name: str = ""
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
@@ -206,7 +205,7 @@ class RecognizerBackend:
     def predicted(self, doc: Document, spans) -> Document:
         """`doc` with the spans this backend predicted; its meta names the backend."""
         return Document(id=doc.id, text=doc.text, entities=spans,
-                        meta={**doc.meta, "backend": self.name or self.kind})
+                        meta={**doc.meta, "backend": self.kind})
 
 
 @dataclass(frozen=True)
@@ -481,14 +480,13 @@ def recognize_external(docs: Union[Corpus, Sequence[Document]],
     return result
 
 
-def recognize_corpus(corpus: Corpus, backend: RecognizerBackend,
-                     rulebook: Optional[Rulebook] = None) -> ExternalRunResult:
+def recognize_corpus(corpus: Corpus, backend: RecognizerBackend) -> ExternalRunResult:
     """Dispatch on backend kind; the builtin path never excludes a doc."""
     if backend.kind == BUILTIN_RULES:
         result = ExternalRunResult()
         for doc in corpus:
             t0 = time.monotonic()
-            spans = recognize_rules(doc.text, rulebook)
+            spans = recognize_rules(doc.text)
             latency_ms = (time.monotonic() - t0) * 1000.0
             result.predictions.append(Prediction(backend.predicted(doc, spans), latency_ms))
         return result

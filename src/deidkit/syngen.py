@@ -112,9 +112,9 @@ class GenerationResult:
     retries: int = 0
 
 
-def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationResult:
+def generate(job: GenerationJob) -> GenerationResult:
     """Exactly fanout attempts per exemplar; backend failures are recorded,
-    never fatal. With out_dir, persist_raw runs before any filtering."""
+    never fatal."""
     prompts = {doc.id: render_prompt(job.template, doc) for doc in job.exemplars}
     work = [(attempt_id(doc.id, k), doc.id) for doc in job.exemplars for k in range(job.fanout)]
     outcomes, retries = _call_each(
@@ -130,8 +130,6 @@ def generate(job: GenerationJob, out_dir: Optional[Path] = None) -> GenerationRe
             result.raw[aid] = text
         else:
             result.failures.append((aid, reason))
-    if out_dir is not None:
-        persist_raw(result, out_dir)
     return result
 
 
@@ -253,9 +251,10 @@ def write_filtered(corpus: Corpus, report: RejectReport, out_dir) -> None:
 
 
 def run_generation_job(job: GenerationJob, out_dir) -> dict:
-    """generate + persist + filter; writes accepted.jsonl and rejects.jsonl
-    next to the raw outputs and returns a run summary."""
-    gen = generate(job, out_dir=out_dir)
+    """generate, persist the raw outputs, then filter; writes accepted.jsonl
+    and rejects.jsonl next to raw.jsonl and returns a run summary."""
+    gen = generate(job)
+    persist_raw(gen, out_dir)
     corpus, rejects = filter_outputs(gen.raw, job.policy)
     write_filtered(corpus, rejects, out_dir)
     return {

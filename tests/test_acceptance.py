@@ -180,12 +180,13 @@ def test_c05_tag_mapping_table_totality_idempotence(verdict):
     src = Corpus(documents=(doc,),
                  schema=build_schema(["Blood_Group", "Patient_Name"]))
     once, audit = apply_tagmap(src, builtin_canonical_map())
-    if [e.tag for e in once.get("d").entities] != ["OTHERS", "PATIENT"]:
-        bad.append(("fallback", once.get("d").entities))
+    once_d = {d.id: d for d in once}["d"]
+    if [e.tag for e in once_d.entities] != ["OTHERS", "PATIENT"]:
+        bad.append(("fallback", once_d.entities))
     if audit.unmapped != {"Blood_Group": 1}:
         bad.append(("audit", audit.unmapped))
     twice, _ = apply_tagmap(once, builtin_canonical_map())
-    if twice.get("d").entities != once.get("d").entities:
+    if {d.id: d for d in twice}["d"].entities != once_d.entities:
         bad.append(("idempotence",))
     verdict(5, "published tag table total with audited OTHERS fallback",
             not bad)

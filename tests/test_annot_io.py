@@ -103,8 +103,9 @@ def test_conll_round_trip_shape():
     raw = "Asha\tB-PATIENT\nRao\tI-PATIENT\nleft\tO\n\non\tO\n01-01-2024\tB-DATE\n"
     corpus = read_conll(raw)
     assert len(corpus) == 2
-    assert corpus.get("doc-0").text == "Asha Rao left"
-    assert corpus.get("doc-1").entities[0].tag == "DATE"
+    docs = {doc.id: doc for doc in corpus}
+    assert docs["doc-0"].text == "Asha Rao left"
+    assert docs["doc-1"].entities[0].tag == "DATE"
     assert write_conll(corpus) == raw
 
 
@@ -120,17 +121,14 @@ def test_conll_bad_label():
         read_conll("a\tB_DATE\n")
 
 
-def test_conll_strict_vs_lenient():
-    raw = "a\tO\nb\tI-DATE\n"
+def test_conll_rejects_dangling_i_tags():
     from deidkit.core import InvalidBioSequence
 
     with pytest.raises(InvalidBioSequence):
-        read_conll(raw)
+        read_conll("a\tO\nb\tI-DATE\n")
     # an I-tag after a B of another tag dangles too; the strict bio_to_spans says so
     with pytest.raises(InvalidBioSequence, match="dangling I-DATE at token 1"):
         read_conll("a\tB-ID\nb\tI-DATE\n")
-    corpus = read_conll(raw, strict=False)
-    assert corpus.get("doc-0").entities[0].tag == "DATE"
 
 
 def test_jsonl_round_trip(sample_corpus):
@@ -280,8 +278,10 @@ def test_conll_round_trip_property(seed):
     corpus = Corpus(documents=(doc,), schema=CANONICAL_SCHEMA)
     back = read_conll(write_conll(corpus))
     # single-space join preserves these texts exactly
-    assert back.get("doc-0").text == doc.text
-    assert back.get("doc-0").entities == doc.entities
+    (back_doc,) = back
+    assert back_doc.id == "doc-0"
+    assert back_doc.text == doc.text
+    assert back_doc.entities == doc.entities
 
 
 def whitespace_edged_doc(rng: random.Random) -> Document:
@@ -324,7 +324,8 @@ def test_conll_round_trip_keeps_entities_with_whitespace_edges(seed):
         with pytest.raises(EntityTokenMisalignment, match="covers no token"):
             write_conll(corpus)
         return
-    back = read_conll(write_conll(corpus)).get("doc-0")
+    (back,) = read_conll(write_conll(corpus))
+    assert back.id == "doc-0"
     assert back.text == " ".join(doc.text.split())
     assert len(back.entities) == len(doc.entities)
     assert oracle_label_tokens(back.text, back.entities, "O") == \

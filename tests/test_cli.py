@@ -198,7 +198,7 @@ def test_map_tags_with_audit(tmp_path):
     out, audit = tmp_path / "mapped.jsonl", tmp_path / "audit.json"
     assert run("map-tags", "--in", src, "--out", out, "--audit", audit) == 0
     mapped = read_corpus(out)
-    assert [e.tag for e in mapped.get("d").entities] == ["PATIENT", "OTHERS"]
+    assert [e.tag for e in {d.id: d for d in mapped}["d"].entities] == ["PATIENT", "OTHERS"]
     report = json.loads(audit.read_text())
     assert report["total"] == 2
     assert report["unmapped"] == {"Blood_Group": 1}
@@ -275,23 +275,23 @@ def test_deidentify_deterministic(tmp_path, corpus_path):
                    "--mode", "surrogate", "--seed", 5, "--date-offset", 3) == 0
     assert a.read_bytes() == b.read_bytes()
     scrubbed = read_corpus(a)
-    assert "Asha" not in scrubbed.get("d1").text
+    assert "Asha" not in {d.id: d for d in scrubbed}["d1"].text
 
 
 def test_deidentify_redact(tmp_path, corpus_path):
     out = tmp_path / "red.jsonl"
     assert run("deidentify", "--in", corpus_path, "--out", out,
                "--mode", "redact") == 0
-    assert "[PATIENT]" in read_corpus(out).get("d1").text
+    assert "[PATIENT]" in {d.id: d for d in read_corpus(out)}["d1"].text
 
 
 def test_recognize_rules_then_evaluate(tmp_path, corpus_path):
     pred = tmp_path / "pred.jsonl"
     assert run("recognize", "--in", corpus_path, "--out", pred,
                "--backend", "rules") == 0
-    docs = read_corpus(pred)
+    docs = {d.id: d for d in read_corpus(pred)}
     assert len(docs) == 2
-    assert docs.get("d1").meta["backend"] == "rules"
+    assert docs["d1"].meta["backend"] == "rules"
     metrics = tmp_path / "metrics.json"
     assert run("evaluate", "--gold", corpus_path, "--pred", pred,
                "--out", metrics) == 0
@@ -309,9 +309,9 @@ def test_recognize_env_override(tmp_path, corpus_path, mock_cmd, monkeypatch):
     monkeypatch.setenv("DEIDKIT_BACKEND", f"{mock_cmd} --gold {gold}")
     pred = tmp_path / "pred.jsonl"
     assert run("recognize", "--in", corpus_path, "--out", pred) == 0
-    docs = read_corpus(pred)
-    assert docs.get("d1").entities == read_corpus(corpus_path).get("d1").entities
-    assert docs.get("d1").meta["backend"] == "external"
+    docs = {d.id: d for d in read_corpus(pred)}
+    assert docs["d1"].entities == {d.id: d for d in read_corpus(corpus_path)}["d1"].entities
+    assert docs["d1"].meta["backend"] == "external"
     assert str(tmp_path) not in pred.read_text()
 
 
@@ -663,21 +663,73 @@ def test_run_matrix_unions_conll_files(tmp_path, corpus_path):
     assert "seed" not in report
 
 
+def load_config(*argv) -> PipelineConfig:
+    """The config that PipelineConfig.load gives the command `argv`."""
+    argv = [str(arg) for arg in argv]
+    return PipelineConfig.load(cli.build_parser(argv).parse_args(argv))
+
+
 def test_pipeline_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
+    recognize_argv = ("recognize", "--in", "c.jsonl", "--out", "o.jsonl", "--config", path)
     path.write_text(json.dumps({"concurrency": 1, "typo_key": 2}))
     with pytest.raises(ConfigError):
-        PipelineConfig.load(path)
+        load_config(*recognize_argv)
     for dead in ("seed", "mode", "out_dir"):
         path.write_text(json.dumps({dead: 4}))
         with pytest.raises(ConfigError, match=dead):
-            PipelineConfig.load(path)
+            load_config(*recognize_argv)
     path.write_text(json.dumps({"surrogate": {"seed": 3, "bogus": 1}}))
     with pytest.raises(ConfigError):
-        PipelineConfig.load(path)
+        load_config(*recognize_argv)
     path.write_text(json.dumps({"concurrency": 2, "surrogate": {"date_offset_days": 2}}))
-    cfg = PipelineConfig.load(path)
-    assert cfg.concurrency == 2 and cfg.surrogate == {"date_offset_days": 2}
+    cfg = load_config(*recognize_argv)
+    assert cfg.concurrency == 2 and cfg.surrogate == SurrogateConfig(date_offset_days=2)
+
+
+def test_config_load_builds_each_section_once_with_the_flags_over_it(tmp_path, corpus_path,
+                                                                     monkeypatch):
+    from deidkit import surrogate
+
+    lexicon = tmp_path / "names.txt"
+    lexicon.write_text("Ravi Menon\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"surrogate": {"seed": 5, "age_policy": "jitter",
+                                              "locale_lexicons": {"PATIENT": str(lexicon)}},
+                                "filter": {"min_annotations": 1, "max_repeat_ratio": 0.5}}))
+    reads = []
+    read = surrogate.load_lexicon
+    monkeypatch.setattr(surrogate, "load_lexicon", lambda source: reads.append(source) or
+                        read(source))
+    assert run("deidentify", "--in", corpus_path, "--out", tmp_path / "o.jsonl",
+               "--config", path, "--seed", 3) == 0
+    assert reads.count(str(lexicon)) == 1
+    cfg = load_config("deidentify", "--in", "c.jsonl", "--out", "o.jsonl", "--config", path,
+                      "--seed", 3, "--time-offset", 0)
+    assert cfg.surrogate == SurrogateConfig(seed=3, age_policy="jitter",
+                                            locale_lexicons={"PATIENT": str(lexicon)})
+    cfg = load_config("filter", "--raw", "r.jsonl", "--out-dir", "o", "--config", path,
+                      "--min-annotations", 2)
+    assert cfg.filter == FilterPolicy(min_annotations=2, max_repeat_ratio=0.5)
+    assert load_config("deidentify", "--in", "c.jsonl", "--out", "o.jsonl").surrogate == \
+        SurrogateConfig()
+    # a command with no surrogate flags builds the section only from a file that has one
+    assert load_config("recognize", "--in", "c.jsonl", "--out", "o.jsonl").surrogate == {}
+
+
+@pytest.mark.parametrize("command", ["recognize", "generate", "filter", "deidentify"])
+def test_config_with_a_missing_lexicon_exits_one(tmp_path, corpus_path, caplog, command):
+    # the config loads first: a backend that does not exist or a raw file that
+    # is missing would exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surrogate": {"locale_lexicons": {"PATIENT": "nosuch.txt"}}}))
+    out = ["--in", corpus_path, "--out", tmp_path / "o.jsonl"]
+    argv = {"recognize": out, "deidentify": out,
+            "generate": ["--template", "A", "--exemplars", corpus_path,
+                         "--backend", tmp_path / "no-such-backend", "--out-dir", tmp_path / "g"],
+            "filter": ["--raw", tmp_path / "raw.jsonl", "--out-dir", tmp_path / "f"]}[command]
+    assert run(command, *argv, "--config", cfg) == 1
+    assert "nosuch.txt" in caplog.text
 
 
 def test_deidentify_config_rejects_top_level_seed(tmp_path, corpus_path, caplog):

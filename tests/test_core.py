@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import random
 
 import pytest
@@ -149,11 +150,9 @@ def test_entity_span_rejects_empty():
         EntitySpan(3, 3, "AGE", "")
 
 
-def test_corpus_lookup(sample_corpus):
-    assert sample_corpus.get("d2").id == "d2"
+def test_corpus_len_and_order(sample_corpus):
+    assert [doc.id for doc in sample_corpus] == ["d1", "d2"]
     assert len(sample_corpus) == 2
-    with pytest.raises(KeyError):
-        sample_corpus.get("nope")
 
 
 def test_corpus_rejects_duplicate_ids(sample_doc):
@@ -174,7 +173,7 @@ def test_build_schema_appends_other():
 
 
 def test_spans_to_bio_hand_case(sample_doc):
-    labels = spans_to_bio(sample_doc)
+    labels = spans_to_bio(sample_doc, tokenize(sample_doc.text))
     by_surface = dict(zip(surfaces(sample_doc.text), labels))
     assert by_surface["Asha"] == "B-PATIENT"
     assert by_surface["Rao"] == "I-PATIENT"
@@ -185,7 +184,7 @@ def test_spans_to_bio_hand_case(sample_doc):
 def test_spans_to_bio_misalignment():
     doc = Document(id="d", text="abcdef", entities=(EntitySpan(2, 4, "ID", "cd"),))
     with pytest.raises(EntityTokenMisalignment):
-        spans_to_bio(doc)
+        spans_to_bio(doc, tokenize(doc.text))
 
 
 def test_bio_to_spans_strict_rejects_dangling_i():
@@ -193,12 +192,12 @@ def test_bio_to_spans_strict_rejects_dangling_i():
         bio_to_spans(tokenize("a b"), ("O", "I-DATE"), "a b", strict=True)
 
 
-def test_bio_to_spans_lenient_repairs_dangling_i():
-    repairs = []
-    spans = bio_to_spans(tokenize("a b c"), ("O", "I-DATE", "I-DATE"), "a b c", strict=False,
-                         repairs=repairs)
+def test_bio_to_spans_lenient_repairs_dangling_i(caplog):
+    with caplog.at_level(logging.DEBUG, logger="deidkit.core"):
+        spans = bio_to_spans(tokenize("a b c"), ("O", "I-DATE", "I-DATE"), "a b c",
+                             strict=False)
     assert [(s.start, s.end, s.tag) for s in spans] == [(2, 5, "DATE")]
-    assert len(repairs) == 1
+    assert [r.getMessage() for r in caplog.records] == ["bio repair: dangling I-DATE at token 1"]
 
 
 def test_bio_adjacent_entities_stay_separate():

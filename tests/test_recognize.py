@@ -196,20 +196,20 @@ def called_below(frames: int, fn):
 
 
 def test_lexicon_nesting_is_decided_by_the_bound_not_the_stack(tmp_path):
-    # from the test's own frame and from 500 frames down, the 100-entry chain
-    # (99 nested groups) compiles and longer chains are refused; re.purge
-    # empties re's cache, so each pattern is compiled again
+    # from the test's own frame and from 500 frames down, chains of up to 101
+    # entries compile and longer chains are refused; re.purge empties re's
+    # cache, so each pattern is compiled again
     chain = ["a" * i for i in range(1, 700)]
     path = tmp_path / "rules.json"
-    for n in (100, 150, 699):
+    for n in (100, 101, 102, 150, 699):
         lexicon = tmp_path / f"chain{n}.txt"
         lexicon.write_text("\n".join(chain[:n]) + "\n")
         path.write_text(json.dumps({"patterns": [], "lexicons": {"PATIENT": str(lexicon)}}))
         for frames in (0, 500):
             re.purge()
-            if n == 100:
+            if n <= 101:
                 book = called_below(frames, lambda: load_rulebook(path))
-                assert recognize_rules("x " + chain[99] + " y", book)[0].start == 2
+                assert recognize_rules("x " + chain[n - 1] + " y", book)[0].start == 2
             else:
                 with pytest.raises(InvalidPattern, match="entries nest too deep"):
                     called_below(frames, lambda: load_rulebook(path))
@@ -455,10 +455,10 @@ def test_timeout_then_retry_succeeds(mock_cmd, tmp_path, note_corpus):
     # the first request for doc-2 is swallowed; the retry is answered
     script = {"doc-2": "drop_once"}
     backend = subprocess_backend(mock_cmd, tmp_path, script=script, gold=note_corpus,
-                                 timeout_ms=700, retry=1)
+                                 timeout_ms=2000, retry=1)
     result = recognize_external(note_corpus, backend)
     assert result.excluded == []
-    assert result.retries >= 1
+    assert result.retries == 1
 
 
 def test_timeout_without_retry_excludes(mock_cmd, tmp_path, note_corpus):
@@ -700,7 +700,9 @@ def test_http_requests_run_concurrently(tmp_path, note_corpus):
 
 
 def test_recognize_corpus_builtin_never_excludes(note_corpus):
-    backend = RecognizerBackend(kind=BUILTIN_RULES, name="rules")
+    backend = RecognizerBackend(kind=BUILTIN_RULES)
     result = recognize_corpus(note_corpus, backend)
     assert result.excluded == []
     assert len(result.predictions) == len(note_corpus)
+    # the meta names the backend as `recognize --backend rules` does
+    assert {p.document.meta["backend"] for p in result.predictions} == {"rules"}

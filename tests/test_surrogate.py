@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from deidkit.surrogate import (
     SurrogatePlan,
     UnparseableDate,
     _KeyedStream,
+    _class_preserving,
     _replace_age,
     apply_surrogates,
     load_lexicon,
@@ -51,10 +53,22 @@ def test_normalize_surface_collapses():
     ("25 Aug 2023", 5, "30 Aug 2023"),
     ("25 August 2023", 10, "04 September 2023"),
     ("25 AUG 2023", 5, "30 AUG 2023"),          # month case preserved
+    ("5 June 2023", 30, "5 July 2023"),          # a four-letter name stays whole
+    ("5 JUNE 2023", 30, "5 JULY 2023"),
+    ("5 Jun 2023", 30, "5 Jul 2023"),
     ("29-08-2023 14:30:15", 5, "03-09-2023 14:30:15"),
 ])
 def test_shift_date_days(text, days, expect):
     assert shift_date_text(text, days) == expect
+
+
+def test_class_preserving_draws_past_the_first_block_from_the_sha256_chain():
+    # one digit per byte: 40 digits take the key's 32-byte digest, then 8
+    # bytes of the digest of that digest
+    block = hashlib.sha256(b"7|d|ID|x").digest()
+    chain = block + hashlib.sha256(block).digest()
+    want = "".join(str(b % 10) for b in chain[:40])
+    assert _class_preserving("0" * 40, _KeyedStream(7, "d", "ID", "x")) == want
 
 
 def test_shift_minutes_only_with_time_part():

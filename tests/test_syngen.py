@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from deidkit.annot_io import parse_inline_xml
 from deidkit.core import CANONICAL_SCHEMA, Corpus, Document, EntitySpan
 from deidkit.corpusstats import score_generation_quality
+from deidkit import syngen
 from deidkit.recognize import EXTERNAL, RecognizerBackend
 from deidkit.syngen import (
     EXEMPLAR_SLOT,
@@ -111,7 +112,8 @@ def test_attempt_id_format():
 def test_filter_accepts_and_maps_tags():
     corpus, report = filter_outputs({"e:0": wrap(GOOD_BODY)})
     assert report.rejects == []
-    doc = corpus.get("e:0")
+    (doc,) = corpus
+    assert doc.id == "e:0"
     assert [e.tag for e in doc.entities] == ["PATIENT", "AGE", "DATE"]
     assert doc.meta == {"exemplar": "e", "replicate": "0"}
     assert corpus.schema.tags == CANONICAL_SCHEMA.tags
@@ -164,7 +166,7 @@ def test_filter_unknown_tag_policies():
     body = GOOD_BODY + " <TYPE='Blood_Group'>B+</TYPE>"
     corpus, report = filter_outputs({"e:0": wrap(body)})
     assert report.rejects == []
-    assert corpus.get("e:0").entities[-1].tag == "OTHERS"
+    assert {doc.id: doc for doc in corpus}["e:0"].entities[-1].tag == "OTHERS"
     policy = FilterPolicy(unknown_tags="reject")
     _, report = filter_outputs({"e:0": wrap(body)}, policy)
     assert report.rejects == [("e:0", UNKNOWN_TAG)]
@@ -252,16 +254,24 @@ def test_generate_schedules_fanout_times_exemplars(mock_cmd, tmp_path):
     assert result.failures == []
 
 
-def test_generate_persists_raw_before_filtering(mock_cmd, tmp_path):
+def test_generate_persists_raw_before_filtering(mock_cmd, tmp_path, monkeypatch):
     script = {"ex-0:0": "malformed"}
     job = GenerationJob(template=load_template("A"), exemplars=exemplar_corpus(1),
                         backend=backend_for(mock_cmd, tmp_path, script), fanout=2)
     out = tmp_path / "run"
-    result = generate(job, out_dir=out)
-    assert len(result.raw) == 2
-    assert sorted(p.name for p in out.iterdir()) == ["raw.jsonl"]
+    filtered = []  # (raw generations, files in out) at the time filter_outputs runs
+
+    def filter_after_persist(raw, policy):
+        filtered.append((raw, sorted(p.name for p in out.iterdir())))
+        return filter_outputs(raw, policy)
+
+    monkeypatch.setattr(syngen, "filter_outputs", filter_after_persist)
+    run_generation_job(job, out)
+    ((raw, files),) = filtered
+    assert len(raw) == 2
+    assert files == ["raw.jsonl"]
     records = [json.loads(line) for line in (out / "raw.jsonl").read_text().splitlines()]
-    assert records == [{"id": aid, "text": result.raw[aid]} for aid in ("ex-0:0", "ex-0:1")]
+    assert records == [{"id": aid, "text": raw[aid]} for aid in ("ex-0:0", "ex-0:1")]
     # the malformed output is persisted verbatim even though it cannot parse
     assert "Asha Rao is stable" in records[0]["text"]
 
